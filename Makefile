@@ -1,15 +1,19 @@
 # Verification gate. `make check` is the command CI runs: the tree must
-# build, pass vet, satisfy the determinism contract (cmd/metalint), and
-# pass the race-enabled test suite.
+# be gofmt-clean, build, pass vet, satisfy the determinism contract
+# (cmd/metalint), and pass the race-enabled test suite.
 
 GO ?= go
 
-.PHONY: check build vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-json bench-gate
+.PHONY: check build fmt vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-json bench-gate
 
-check: vet metalint lint-inventory secretflow-test test dispatch-race
+check: fmt vet metalint lint-inventory secretflow-test test dispatch-race
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the offenders, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,12 @@
 package metaleak
 
-import "testing"
+import (
+	"testing"
+
+	"metaleak/internal/arch"
+	"metaleak/internal/crypto"
+	"metaleak/internal/itree"
+)
 
 // TestSecureReadSteadyStateAllocs pins the steady-state secure read path
 // (flush + path-2 read of a warmed block) at zero heap allocations per
@@ -23,5 +29,37 @@ func TestSecureReadSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("steady-state secure read allocates %.2f objects per access; want 0", avg)
+	}
+}
+
+// TestTreeOverflowAllocsConstant pins the host cost of a tree-counter
+// overflow to a constant number of allocations, whatever the subtree
+// size: once a subtree's nodes exist, re-hashing a leaf (33 blocks) and
+// an L2 node (8,465 blocks) allocate the same, because the re-hash list
+// is a handful of block runs in tree-owned scratch, not one entry per
+// block.
+func TestTreeOverflowAllocsConstant(t *testing.T) {
+	// One-bit minors: after the first bump every further bump of the same
+	// child overflows its parent's minor.
+	tree := itree.NewVTree(itree.VTreeConfig{
+		Name: "SCT", Arities: []int{32, 16, 16, 16}, MinorBits: 1, CounterBlocks: 2 * 32 * 16 * 16,
+	}, crypto.New(crypto.Config{AESLatency: 20, HashLatency: 12}))
+	var contents [arch.BlockSize]byte
+	cb := arch.CounterBase.Block() + 7
+	overflowAllocs := func(name string, overflow func() *itree.Update) float64 {
+		for i := 0; i < 4; i++ { // materialize the subtree and grow scratch
+			overflow()
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			if up := overflow(); up == nil || !up.Overflow {
+				t.Fatalf("%s: bump did not overflow", name)
+			}
+		})
+		return avg
+	}
+	leaf := overflowAllocs("leaf", func() *itree.Update { return tree.WritebackCounterBlock(cb, contents) })
+	l2 := overflowAllocs("L2", func() *itree.Update { return tree.WritebackNode(itree.NodeRef{Level: 1, Index: 0}) })
+	if leaf != l2 || leaf > 1 {
+		t.Fatalf("overflow allocations: leaf %.2f, L2 %.2f; want the same constant, at most 1 (the Update)", leaf, l2)
 	}
 }

@@ -334,11 +334,7 @@ func (cm *CounterMonitor) PropagateVictim(vb arch.BlockID) {
 // MinorValue returns the monitored minor's ground-truth value. Tests and
 // oracle comparisons only — the attack itself never reads it.
 func (cm *CounterMonitor) MinorValue() uint64 {
-	vt, ok := cm.A.tree().(*itree.VTree)
-	if !ok {
-		panic("core: counter monitor requires a version tree")
-	}
-	return vt.MinorValue(cm.Parent, cm.Slot)
+	return cm.versionTree().MinorValue(cm.Parent, cm.Slot)
 }
 
 // IsLeafLevel reports whether this monitor targets the leaf minor of its
@@ -347,11 +343,22 @@ func (cm *CounterMonitor) IsLeafLevel() bool { return cm.Child.Level == -1 }
 
 // MinorMax returns the saturation value of the monitored minor.
 func (cm *CounterMonitor) MinorMax() uint64 {
-	vt, ok := cm.A.tree().(*itree.VTree)
+	return cm.versionTree().MinorMax()
+}
+
+// versionTree is the counter state a monitor reads: a version-counter
+// tree, alone or as the §IX-C per-domain forest.
+type versionTree interface {
+	MinorMax() uint64
+	MinorValue(ref itree.NodeRef, slot int) uint64
+}
+
+func (cm *CounterMonitor) versionTree() versionTree {
+	vt, ok := cm.A.tree().(versionTree)
 	if !ok {
 		panic("core: counter monitor requires a version tree")
 	}
-	return vt.MinorMax()
+	return vt
 }
 
 // Calibrate measures bump times across at least one overflow period and

@@ -157,9 +157,14 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 	events := make(chan connEvent, 64)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	var accepted connSet
 	defer func() {
 		close(done)
 		ln.Close()
+		// Registered or not, every connection closes: a reader blocked in
+		// ReadFrame on a peer that never spoke, or whose hello was still
+		// queued when the last cell settled, returns only then.
+		accepted.closeAll()
 		wg.Wait()
 	}()
 
@@ -174,11 +179,14 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 			if err != nil {
 				return
 			}
+			if !accepted.add(conn) {
+				return
+			}
 			wc := &workerConn{conn: conn}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer conn.Close()
+				defer accepted.remove(conn)
 				br := bufio.NewReader(conn)
 				for {
 					f, err := ReadFrame(br)
@@ -265,6 +273,47 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 	}
 	st.shutdown()
 	return settled, nil
+}
+
+// connSet tracks every connection a Run accepted, so that the run's end
+// can close the ones the Run loop never registered as workers.
+type connSet struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// add tracks conn, or closes it and reports false once closeAll ran.
+func (s *connSet) add(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+// remove closes conn and stops tracking it.
+func (s *connSet) remove(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	conn.Close()
+	delete(s.conns, conn)
+}
+
+// closeAll closes every tracked connection and refuses later ones.
+func (s *connSet) closeAll() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 }
 
 // coordState is the Run loop's private scheduling state.

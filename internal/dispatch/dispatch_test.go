@@ -66,6 +66,23 @@ func startWorker(t *testing.T, ctx context.Context, addr, id string, sess Sessio
 	return &wg
 }
 
+// runOut is one coordinator Run's result.
+type runOut struct {
+	settled map[int]Settled
+	err     error
+}
+
+// runInBackground starts co.Run on ln and returns where its result
+// arrives.
+func runInBackground(ctx context.Context, co *Coordinator, ln net.Listener) <-chan runOut {
+	ran := make(chan runOut, 1)
+	go func() {
+		settled, err := co.Run(ctx, ln)
+		ran <- runOut{settled, err}
+	}()
+	return ran
+}
+
 func grid(n int) []int {
 	cells := make([]int, n)
 	for i := range cells {
@@ -147,6 +164,44 @@ func TestDispatchAllCells(t *testing.T) {
 			wg.Wait()
 		}
 	}
+}
+
+// TestDispatchSilentPeer: a peer that connects and never speaks (a
+// port scanner, a worker that died before its hello) is never
+// registered as a worker, yet Run must return once the grid settles and
+// close that connection too, not wait forever on its reader.
+func TestDispatchSilentPeer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ln := mustListen(t)
+	// Dialled first, so the accept loop takes it before the worker.
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	wg := startWorker(t, ctx, ln.Addr().String(), "healthy", testSession(testJob{Mult: 5}, nil, nil))
+	ran := runInBackground(ctx, NewCoordinator(jobSpec(t, testJob{Mult: 5}), grid(2), Options{}), ln)
+	select {
+	case out := <-ran:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		checkPayloads(t, out.settled, 2, 5)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return with a silent peer connected")
+	}
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+		t.Fatalf("silent peer's connection still open after Run: read err %v", err)
+	}
+	cancel()
+	wg.Wait()
+}
+
+func isTimeout(err error) bool {
+	ne, ok := err.(net.Error)
+	return ok && ne.Timeout()
 }
 
 // TestDispatchDropReLease: a worker that abruptly drops while holding a
@@ -236,15 +291,7 @@ func TestDispatchLeaseTimeout(t *testing.T) {
 		LeaseTimeout: 200 * time.Millisecond,
 		MaxLeases:    2,
 	})
-	type runOut struct {
-		settled map[int]Settled
-		err     error
-	}
-	ran := make(chan runOut, 1)
-	go func() {
-		settled, err := co.Run(ctx, ln)
-		ran <- runOut{settled, err}
-	}()
+	ran := runInBackground(ctx, co, ln)
 	// Raw silent peer: handshake, lease one cell, then nothing.
 	leased := make(chan int, 1)
 	go func() {

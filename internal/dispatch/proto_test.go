@@ -82,20 +82,20 @@ func TestFrameStream(t *testing.T) {
 
 func TestFrameValidate(t *testing.T) {
 	bad := []Frame{
-		{Type: "gossip"},                                       // unknown type
-		{Type: FrameHello},                                     // missing payload
-		{Type: FrameHello, Hello: &Hello{Proto: 1}},            // unnamed worker
-		{Type: FrameWant, Fail: &Fail{Reason: "x"}},            // payload on a bare frame
-		{Type: FrameLease, Lease: &Lease{}},                    // empty lease
-		{Type: FrameLease, Lease: &Lease{Cells: []int{-1}}},    // negative cell
-		{Type: FrameResult, Result: &Result{Cell: 1}},          // neither payload nor error
-		{Type: FrameResult, Result: &Result{Cell: -1, Err: "x"}}, // negative cell
+		{Type: "gossip"},   // unknown type
+		{Type: FrameHello}, // missing payload
+		{Type: FrameHello, Hello: &Hello{Proto: 1}},                                             // unnamed worker
+		{Type: FrameWant, Fail: &Fail{Reason: "x"}},                                             // payload on a bare frame
+		{Type: FrameLease, Lease: &Lease{}},                                                     // empty lease
+		{Type: FrameLease, Lease: &Lease{Cells: []int{-1}}},                                     // negative cell
+		{Type: FrameResult, Result: &Result{Cell: 1}},                                           // neither payload nor error
+		{Type: FrameResult, Result: &Result{Cell: -1, Err: "x"}},                                // negative cell
 		{Type: FrameResult, Result: &Result{Cell: 1, Payload: json.RawMessage(`{}`), Err: "x"}}, // both
 		{Type: FrameResult, Result: &Result{Cell: 1, Payload: json.RawMessage(`{`)}},            // invalid payload JSON
-		{Type: FrameJob, Job: &Job{Cells: -1}},                 // negative grid
-		{Type: FrameJob, Job: &Job{Cells: 1, LeaseTimeout: -time.Second}}, // negative lease timeout
-		{Type: FrameFail, Fail: &Fail{}},                       // reasonless fail
-		{Type: FrameHello, Hello: &Hello{Worker: "w"}, Fail: &Fail{Reason: "x"}}, // two payloads
+		{Type: FrameJob, Job: &Job{Cells: -1}},                                                  // negative grid
+		{Type: FrameJob, Job: &Job{Cells: 1, LeaseTimeout: -time.Second}},                       // negative lease timeout
+		{Type: FrameFail, Fail: &Fail{}},                                                        // reasonless fail
+		{Type: FrameHello, Hello: &Hello{Worker: "w"}, Fail: &Fail{Reason: "x"}},                // two payloads
 	}
 	for _, f := range bad {
 		if err := f.Validate(); err == nil {

@@ -30,15 +30,7 @@ func TestDispatchDrainAfterCancel(t *testing.T) {
 	ln := mustListen(t)
 	co := NewCoordinator(jobSpec(t, testJob{Mult: 1}), grid(1), Options{MaxLeases: 1})
 
-	type runOut struct {
-		settled map[int]Settled
-		err     error
-	}
-	ran := make(chan runOut, 1)
-	go func() {
-		settled, err := co.Run(ctx, ln)
-		ran <- runOut{settled, err}
-	}()
+	ran := runInBackground(ctx, co, ln)
 
 	// Raw peer: handshake, lease the only cell, then die without a
 	// result — after the test cancels the run.
@@ -82,10 +74,15 @@ func TestDispatchAuthToken(t *testing.T) {
 	ln := mustListen(t)
 	co := NewCoordinator(jobSpec(t, testJob{Mult: 4}), grid(5), Options{Token: "s3cret"})
 
+	ran := runInBackground(ctx, co, ln)
+
+	// The intruder is answered before the member joins: until then no
+	// cell can settle, so the refusal cannot race the end of the run.
 	refused := make(chan string, 1)
 	go func() {
 		conn, err := Dial(ln.Addr().String())
 		if err != nil {
+			refused <- err.Error()
 			return
 		}
 		defer conn.Close()
@@ -97,6 +94,14 @@ func TestDispatchAuthToken(t *testing.T) {
 			refused <- fmt.Sprintf("unexpected: %+v, %v", f, err)
 		}
 	}()
+	select {
+	case reason := <-refused:
+		if !strings.Contains(reason, "authentication failed") {
+			t.Errorf("refusal = %q, want an authentication failure", reason)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("mismatched worker never refused")
+	}
 
 	var wg sync.WaitGroup
 	w := &Worker{ID: "member", Heartbeat: 20 * time.Millisecond, Token: "s3cret",
@@ -111,19 +116,11 @@ func TestDispatchAuthToken(t *testing.T) {
 		w.Run(ctx, conn)
 	}()
 
-	settled, err := co.Run(ctx, ln)
-	if err != nil {
-		t.Fatal(err)
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
-	checkPayloads(t, settled, 5, 4)
-	select {
-	case reason := <-refused:
-		if !strings.Contains(reason, "authentication failed") {
-			t.Errorf("refusal = %q, want an authentication failure", reason)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("mismatched worker never refused")
-	}
+	checkPayloads(t, out.settled, 5, 4)
 	cancel()
 	wg.Wait()
 }
@@ -140,6 +137,10 @@ func TestDispatchHeartbeatVsLeaseTimeout(t *testing.T) {
 		LeaseTimeout: 250 * time.Millisecond,
 	})
 
+	ran := runInBackground(ctx, co, ln)
+
+	// The slow worker's handshake completes before the healthy worker
+	// joins, so it cannot race the end of the run.
 	slowErr := make(chan error, 1)
 	slow := &Worker{ID: "slowbeat", Heartbeat: time.Second,
 		Init: func(json.RawMessage) (Session, error) { return testSession(testJob{Mult: 6}, nil, nil), nil }}
@@ -151,13 +152,6 @@ func TestDispatchHeartbeatVsLeaseTimeout(t *testing.T) {
 		}
 		slowErr <- slow.Run(ctx, conn)
 	}()
-
-	wg := startWorker(t, ctx, ln.Addr().String(), "healthy", testSession(testJob{Mult: 6}, nil, nil))
-	settled, err := co.Run(ctx, ln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPayloads(t, settled, 3, 6)
 	select {
 	case err := <-slowErr:
 		if err == nil || !strings.Contains(err.Error(), "lease timeout") {
@@ -166,6 +160,13 @@ func TestDispatchHeartbeatVsLeaseTimeout(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("slow-heartbeat worker never returned")
 	}
+
+	wg := startWorker(t, ctx, ln.Addr().String(), "healthy", testSession(testJob{Mult: 6}, nil, nil))
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkPayloads(t, out.settled, 3, 6)
 	cancel()
 	wg.Wait()
 }

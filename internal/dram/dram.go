@@ -259,12 +259,29 @@ func (d *DRAM) maybeRefresh(now arch.Cycles) arch.Cycles {
 	return now
 }
 
-// Background occupies a block's bank starting no earlier than now, without
-// reporting completion to the issuer — the model for hardware-managed
-// bursts (counter-overflow re-encryption, subtree re-hashing) that proceed
-// behind the memory controller while execution continues. Foreground reads
-// to the same bank are delayed until the burst drains past them.
-func (d *DRAM) Background(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) {
-	//metalint:allow cycleleak fire-and-forget by design: the burst's completion time is invisible to the issuer, only bank occupancy matters
-	d.access(now, b, occupancy)
+// Background occupies the banks of the n consecutive blocks starting at
+// first, no earlier than now, without reporting completion to the
+// requester — the model for hardware-managed bursts (counter-overflow
+// re-encryption, subtree re-hashing) that proceed behind the memory
+// controller while execution continues. Foreground reads to the same
+// bank are delayed until the burst drains past them.
+//
+// The burst is applied one DRAM row at a time, in closed form. A row's
+// blocks share one bank, so the row's first block goes through access,
+// which opens the row and leaves busyUntil >= now. Each of the row's
+// k-1 remaining blocks is then a row hit starting at busyUntil and
+// advancing it by max(RowHit, occupancy): exactly what k-1 further
+// accesses would do, one block at a time.
+func (d *DRAM) Background(now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
+	hit := max(d.cfg.RowHit, occupancy)
+	perRow := arch.BlockID(d.blocksPerRow())
+	for n > 0 {
+		k := min(n, int(perRow-first%perRow))
+		//metalint:allow cycleleak fire-and-forget by design: the burst's completion time is invisible to the issuer, only bank occupancy matters
+		d.access(now, first, occupancy)
+		d.banks[d.BankOf(first)].busyUntil += arch.Cycles(k-1) * hit
+		d.stats.RowHits += uint64(k - 1)
+		first += arch.BlockID(k)
+		n -= k
+	}
 }

@@ -172,7 +172,7 @@ func TestBackgroundOccupiesBankOnly(t *testing.T) {
 	b := arch.BlockID(0)
 	// Post a long background burst at t=0.
 	for i := 0; i < 20; i++ {
-		d.Background(0, b, 100)
+		d.Background(0, b, 1, 100)
 	}
 	// A read to the same bank at t=0 waits behind the burst...
 	busy := d.BankBusyUntil(d.BankOf(b))
@@ -212,5 +212,98 @@ func TestDrainServicesOldestFirst(t *testing.T) {
 	d.Write(0, arch.BlockID(999999))
 	if d.BankBusyUntil(d.BankOf(first)) == 0 {
 		t.Fatal("oldest write not serviced by forced drain")
+	}
+}
+
+// backgroundPerBlock is the reference for Background's run form: the
+// burst posted one block at a time, one bank access each.
+func backgroundPerBlock(d *DRAM, now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
+	for i := 0; i < n; i++ {
+		d.access(now, first+arch.BlockID(i), occupancy)
+	}
+}
+
+// TestBackgroundRunMatchesPerBlock is the differential check of the
+// closed-form burst: from random bank state (open rows, busy horizons,
+// queued writes), a run posted through Background must leave the same
+// statistics, the same bank horizons, and the same completion time for a
+// later read to every bank as the per-block reference loop.
+func TestBackgroundRunMatchesPerBlock(t *testing.T) {
+	rng := arch.NewRNG(0xb0257)
+	for trial := 0; trial < 400; trial++ {
+		cfg := DefaultConfig()
+		if trial%2 == 1 {
+			cfg.RowBytes = 512 // 8 blocks a row: many row crossings
+		}
+		cfg.RefreshEvery = arch.Cycles(rng.Intn(2) * 5000)
+		cfg.RefreshPenalty = 200
+		perRow := cfg.RowBytes / arch.BlockSize
+		occupancies := []arch.Cycles{0, cfg.RowHit - 1, cfg.RowHit, cfg.RowHit + 1, 4 * cfg.RowHit}
+		occupancy := occupancies[rng.Intn(len(occupancies))]
+
+		runForm, ref := New(cfg), New(cfg)
+		for _, d := range []*DRAM{runForm, ref} {
+			state := arch.NewRNG(uint64(trial))
+			for i := range d.banks {
+				if state.Bool(0.7) {
+					d.banks[i].openRow = int64(state.Intn(64))
+				}
+				d.banks[i].busyUntil = arch.Cycles(state.Intn(3000))
+			}
+			for i, n := 0, state.Intn(cfg.WriteQueueDepth+1); i < n; i++ {
+				d.Write(arch.Cycles(state.Intn(1000)), arch.BlockID(state.Intn(64*perRow)))
+			}
+		}
+
+		first := arch.BlockID(rng.Intn(64 * perRow))
+		if rng.Bool(0.5) {
+			first = first - first%arch.BlockID(perRow) + arch.BlockID(perRow-1-rng.Intn(2))
+		}
+		toRowEnd := perRow - int(first)%perRow
+		var n int
+		switch rng.Intn(4) {
+		case 0:
+			n = 1
+		case 1: // within one row
+			n = 1 + rng.Intn(toRowEnd)
+		case 2: // crossing one row boundary
+			n = toRowEnd + 1 + rng.Intn(perRow)
+		default: // spanning several rows
+			n = toRowEnd + perRow*(1+rng.Intn(4)) + rng.Intn(perRow)
+		}
+		now := arch.Cycles(rng.Intn(3000))
+
+		runForm.Background(now, first, n, occupancy)
+		backgroundPerBlock(ref, now, first, n, occupancy)
+
+		if runForm.Stats() != ref.Stats() {
+			t.Fatalf("trial %d (first %d, n %d, occupancy %d): stats %+v, per-block %+v",
+				trial, first, n, occupancy, runForm.Stats(), ref.Stats())
+		}
+		for i := range runForm.banks {
+			if got, want := runForm.BankBusyUntil(i), ref.BankBusyUntil(i); got != want {
+				t.Fatalf("trial %d (first %d, n %d, occupancy %d): bank %d busy until %d, per-block %d",
+					trial, first, n, occupancy, i, got, want)
+			}
+		}
+		readAt := now + arch.Cycles(rng.Intn(2000))
+		for bank := 0; bank < cfg.Banks(); bank++ {
+			b := firstBlockInBank(runForm, bank)
+			if got, want := runForm.Read(readAt, b), ref.Read(readAt, b); got != want {
+				t.Fatalf("trial %d (first %d, n %d, occupancy %d): read to bank %d done at %d, per-block %d",
+					trial, first, n, occupancy, bank, got, want)
+			}
+		}
+		if runForm.Stats() != ref.Stats() {
+			t.Fatalf("trial %d: stats diverged after the reads", trial)
+		}
+	}
+}
+
+func firstBlockInBank(d *DRAM, bank int) arch.BlockID {
+	for b := arch.BlockID(0); ; b += arch.BlockID(d.blocksPerRow()) {
+		if d.BankOf(b) == bank {
+			return b
+		}
 	}
 }

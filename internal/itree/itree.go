@@ -32,6 +32,12 @@ type NodeRef struct {
 // String renders the reference as e.g. "L1[42]".
 func (r NodeRef) String() string { return fmt.Sprintf("L%d[%d]", r.Level, r.Index) }
 
+// Run names N consecutive metadata blocks starting at First.
+type Run struct {
+	First arch.BlockID
+	N     int
+}
+
 // Update reports the side effects of a lazy tree update. A nil *Update or
 // one with Overflow == false means the common fast path.
 type Update struct {
@@ -41,8 +47,14 @@ type Update struct {
 	OverflowRef NodeRef
 	// Rehashed lists the metadata blocks (node blocks and counter blocks)
 	// whose hashes had to be recomputed because of the overflow — the cost
-	// driver of §V's write-latency bands.
-	Rehashed []arch.BlockID
+	// behind §V's write-latency bands — as runs of consecutive blocks
+	// in depth-first order: each node block is a run of 1, and a leaf's
+	// run is followed by one run of its counter blocks. The slice is
+	// scratch owned by the tree and reused by its next overflow: callers
+	// must not mutate it or keep it past that.
+	Rehashed []Run
+	// RehashedBlocks is the number of blocks Rehashed covers.
+	RehashedBlocks int
 }
 
 // Tree is the interface the secure memory controller programs against.

@@ -176,15 +176,135 @@ func TestTreeMinorOverflowResetsSubtree(t *testing.T) {
 	if up.OverflowRef != leaf {
 		t.Fatalf("overflow at %v want %v", up.OverflowRef, leaf)
 	}
-	if len(up.Rehashed) == 0 {
-		t.Fatal("overflow re-hashed nothing")
-	}
+	checkRehashed(t, tr, leaf, up)
 	if tr.MinorValue(leaf, 0) != 1 {
 		t.Fatalf("triggering minor after overflow = %d", tr.MinorValue(leaf, 0))
 	}
 	// The node and its content remain verifiable after the reset.
 	if !tr.VerifyCounterBlock(cb(0), contents) {
 		t.Fatal("post-overflow verification of triggering block failed")
+	}
+}
+
+// naiveRehash enumerates, one block at a time, what an overflow at ref
+// must re-hash: the node block, then a leaf's counter blocks or each
+// child's subtree in turn, depth-first.
+func naiveRehash(tr *VTree, ref NodeRef) []arch.BlockID {
+	out := []arch.BlockID{tr.NodeBlockID(ref)}
+	if ref.Level == 0 {
+		for i := 0; i < tr.Arity(0); i++ {
+			idx := ref.Index*tr.Arity(0) + i
+			if idx >= tr.CounterBlockCapacity() {
+				break
+			}
+			out = append(out, cb(tr.cfg.CounterBlockOffset+idx))
+		}
+		return out
+	}
+	a := tr.Arity(ref.Level)
+	for i := 0; i < a; i++ {
+		child := NodeRef{Level: ref.Level - 1, Index: ref.Index*a + i}
+		if child.Index*tr.CoverageCounterBlocks(child.Level) >= tr.CounterBlockCapacity() {
+			break
+		}
+		out = append(out, naiveRehash(tr, child)...)
+	}
+	return out
+}
+
+// checkRehashed expands an overflow's re-hash runs and compares them,
+// block for block, with the naive enumeration of the subtree under the
+// domain-local node ref. It also checks the run shape: node blocks are
+// runs of 1, each followed for a leaf by one run of its counter blocks.
+func checkRehashed(t *testing.T, tr *VTree, ref NodeRef, up *Update) {
+	t.Helper()
+	var got []arch.BlockID
+	for i, r := range up.Rehashed {
+		switch {
+		case r.N < 1:
+			t.Fatalf("run %d is empty: %+v", i, r)
+		case r.First.IsTree() && r.N != 1:
+			t.Fatalf("node run %d has length %d", i, r.N)
+		case r.First.IsCounter() && (i == 0 || !up.Rehashed[i-1].First.IsTree()):
+			t.Fatalf("counter run %d does not follow its leaf", i)
+		}
+		for j := 0; j < r.N; j++ {
+			got = append(got, r.First+arch.BlockID(j))
+		}
+	}
+	want := naiveRehash(tr, ref)
+	if len(got) != len(want) || up.RehashedBlocks != len(want) {
+		t.Fatalf("re-hashed %d blocks (count %d), want %d", len(got), up.RehashedBlocks, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("re-hash block %d = %#x, want %#x", i, uint64(got[i]), uint64(want[i]))
+		}
+	}
+}
+
+func TestL2OverflowRehashSequence(t *testing.T) {
+	// Two L2 subtrees, the second one ragged: 5 full leaves plus a leaf
+	// of 7 counter blocks, so the enumeration's truncation paths run.
+	nCB := 32*16*16 + 32*5 + 7
+	tr := NewVTree(VTreeConfig{
+		Name: "SCT", Arities: []int{32, 16, 16, 16}, MinorBits: 7, CounterBlocks: nCB,
+	}, hasher())
+	for _, l2 := range []NodeRef{{Level: 2, Index: 0}, {Level: 2, Index: 1}} {
+		l1 := NodeRef{Level: 1, Index: l2.Index * 16}
+		var up *Update
+		for i := uint64(0); i <= tr.MinorMax(); i++ {
+			up = tr.WritebackNode(l1)
+		}
+		if up == nil || !up.Overflow || up.OverflowRef != l2 {
+			t.Fatalf("%v: no overflow at the L2 node: %+v", l2, up)
+		}
+		checkRehashed(t, tr, l2, up)
+	}
+}
+
+func TestOverflowDropsSubtreeCounterHashes(t *testing.T) {
+	// Both invalidation passes: a leaf overflow with more established
+	// hashes than the leaf covers walks the range; an L2 overflow with
+	// fewer walks the map. Either way exactly the subtree's hashes go.
+	var contents [arch.BlockSize]byte
+	manyHashes := []int{0, 31, 32, 33, 63, 64}
+	for i := 100; i < 4000; i += 100 {
+		manyHashes = append(manyHashes, i)
+	}
+	for _, tc := range []struct {
+		name     string
+		ref      NodeRef
+		trigger  func(tr *VTree) *Update
+		verified []int
+	}{
+		{"leaf", NodeRef{Level: 0, Index: 1}, func(tr *VTree) *Update {
+			return tr.WritebackCounterBlock(cb(40), contents)
+		}, manyHashes},
+		{"L2", NodeRef{Level: 2, Index: 0}, func(tr *VTree) *Update {
+			return tr.WritebackNode(NodeRef{Level: 1, Index: 3})
+		}, []int{0, 511, 8191, 8192, 9000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewVTree(VTreeConfig{
+				Name: "SCT", Arities: []int{32, 16, 16, 16}, MinorBits: 1, CounterBlocks: 2 * 32 * 16 * 16,
+			}, hasher())
+			tc.trigger(tr)
+			for _, i := range tc.verified {
+				tr.VerifyCounterBlock(cb(i), contents)
+			}
+			if up := tc.trigger(tr); up == nil || up.OverflowRef != tc.ref {
+				t.Fatalf("no overflow at %v: %+v", tc.ref, up)
+			}
+			cover := tr.CoverageCounterBlocks(tc.ref.Level)
+			lo, hi := tc.ref.Index*cover, (tc.ref.Index+1)*cover
+			for _, i := range tc.verified {
+				_, kept := tr.ctrHash[cb(i)]
+				if inside := i >= lo && i < hi; kept == inside {
+					t.Errorf("counter block %d (subtree [%d,%d)): hash kept = %v", i, lo, hi, kept)
+				}
+			}
+		})
 	}
 }
 

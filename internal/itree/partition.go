@@ -184,8 +184,18 @@ func (p *Partitioned) globalizeUpdate(d int, up *Update) *Update {
 		return nil
 	}
 	up.OverflowRef = p.globalize(d, up.OverflowRef)
-	// Rehashed holds block IDs, which are already globally unique.
+	// Rehashed holds block runs, which are already globally unique.
 	return up
+}
+
+// MinorMax returns the saturation value of a tree minor counter, the
+// same in every domain.
+func (p *Partitioned) MinorMax() uint64 { return p.domains[0].MinorMax() }
+
+// MinorValue is VTree.MinorValue for a forest-scope node reference.
+func (p *Partitioned) MinorValue(ref NodeRef, slot int) uint64 {
+	d, local := p.localize(ref)
+	return p.domains[d].MinorValue(local, slot)
 }
 
 // CorruptNode implements Tree: the corruption lands in the owning domain.

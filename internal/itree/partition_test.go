@@ -98,17 +98,35 @@ func TestPartitionedOverflowStaysInDomain(t *testing.T) {
 		t.Fatal("no overflow")
 	}
 	// Every re-hashed block must belong to domain 0's slice.
-	for _, b := range up.Rehashed {
-		if b.IsCounter() {
-			if p.DomainOfCounterBlock(b) != 0 {
-				t.Fatalf("re-hash crossed domains: counter block %#x", uint64(b))
+	for _, r := range up.Rehashed {
+		for b := r.First; b < r.First+arch.BlockID(r.N); b++ {
+			if b.IsCounter() {
+				if p.DomainOfCounterBlock(b) != 0 {
+					t.Fatalf("re-hash crossed domains: counter block %#x", uint64(b))
+				}
+			} else if ref, ok := p.RefOfBlock(b); !ok {
+				t.Fatalf("re-hashed unknown block %#x", uint64(b))
+			} else if d, _ := p.localize(ref); d != 0 {
+				t.Fatalf("re-hash crossed domains: node %v", ref)
 			}
-		} else if ref, ok := p.RefOfBlock(b); !ok {
-			t.Fatalf("re-hashed unknown block %#x", uint64(b))
-		} else if d, _ := p.localize(ref); d != 0 {
-			t.Fatalf("re-hash crossed domains: node %v", ref)
 		}
 	}
+}
+
+func TestPartitionedOverflowRehashSequence(t *testing.T) {
+	// An L1 overflow in the second domain: the forest passes the domain
+	// tree's runs through, so they must expand to that tree's naive
+	// enumeration, in its own counter and node slices.
+	p := newForest(2*32*16*16, 2)
+	var up *Update
+	for i := uint64(0); i <= p.MinorMax(); i++ {
+		up = p.WritebackNode(p.globalize(1, NodeRef{Level: 0, Index: 20}))
+	}
+	local := NodeRef{Level: 1, Index: 1}
+	if up == nil || !up.Overflow || up.OverflowRef != p.globalize(1, local) {
+		t.Fatalf("no overflow at domain 1's %v: %+v", local, up)
+	}
+	checkRehashed(t, p.domains[1], local, up)
 }
 
 func TestPartitionedRootCount(t *testing.T) {

@@ -50,6 +50,8 @@ type VTree struct {
 	// rest of the simulator, so one reusable buffer each suffices.
 	hashBuf []byte
 	cbBuf   [8 + arch.BlockSize]byte
+	// rehashed backs Update.Rehashed, reused by every overflow.
+	rehashed []Run
 }
 
 // NewVTree builds a version-counter tree.
@@ -225,30 +227,52 @@ func (t *VTree) bumpMinor(ref NodeRef) *Update {
 // as re-hash traffic, which is what makes tree-counter overflow so
 // expensive and so observable (Fig. 8).
 //
-// State updates touch every descendant node; counter-block hash entries
-// that were never established are simply left to lazy re-initialization
+// State updates touch every descendant node. The subtree's counter blocks
+// are one contiguous range, so their hash entries are dropped in one pass
+// over the range or over ctrHash, whichever is smaller; entries that were
+// never established are simply left to lazy re-initialization
 // (equivalent, since their recomputed value is whatever the next fill
 // observes).
 func (t *VTree) resetSubtree(ref NodeRef, up *Update) {
+	up.Rehashed = t.rehashed[:0]
+	t.resetNodes(ref, up)
+	t.rehashed = up.Rehashed
+
+	cover := t.geo.coverage(ref.Level)
+	lo := ref.Index * cover
+	hi := min(lo+cover, t.geo.nCB)
+	first := t.counterBlock(lo)
+	end := t.counterBlock(hi)
+	if len(t.ctrHash) < hi-lo {
+		for cb := range t.ctrHash {
+			if cb >= first && cb < end {
+				delete(t.ctrHash, cb)
+			}
+		}
+		return
+	}
+	for cb := first; cb < end; cb++ {
+		delete(t.ctrHash, cb)
+	}
+}
+
+// resetNodes resets ref and its descendant nodes depth-first, appending
+// each node block and each leaf's counter blocks to up.Rehashed.
+func (t *VTree) resetNodes(ref NodeRef, up *Update) {
 	n := t.node(ref)
 	n.major++
 	for i := range n.minors {
 		n.minors[i] = 0
 	}
 	n.hashSet = false
-	up.Rehashed = append(up.Rehashed, t.NodeBlockID(ref))
+	up.Rehashed = append(up.Rehashed, Run{First: t.NodeBlockID(ref), N: 1})
+	up.RehashedBlocks++
 	if ref.Level == 0 {
 		// Every counter block under this leaf node is re-hashed.
-		base := ref.Index * t.cfg.Arities[0]
-		for i := 0; i < t.cfg.Arities[0]; i++ {
-			cbIdx := base + i
-			if cbIdx >= t.geo.nCB {
-				break
-			}
-			cb := arch.CounterBase.Block() + arch.BlockID(t.geo.cbOff+cbIdx)
-			delete(t.ctrHash, cb)
-			up.Rehashed = append(up.Rehashed, cb)
-		}
+		lo := ref.Index * t.cfg.Arities[0]
+		cbs := min(t.cfg.Arities[0], t.geo.nCB-lo)
+		up.Rehashed = append(up.Rehashed, Run{First: t.counterBlock(lo), N: cbs})
+		up.RehashedBlocks += cbs
 		return
 	}
 	childLevel := ref.Level - 1
@@ -258,8 +282,13 @@ func (t *VTree) resetSubtree(ref NodeRef, up *Update) {
 		if childIdx >= t.geo.counts[childLevel] {
 			break
 		}
-		t.resetSubtree(NodeRef{Level: childLevel, Index: childIdx}, up)
+		t.resetNodes(NodeRef{Level: childLevel, Index: childIdx}, up)
 	}
+}
+
+// counterBlock returns the counter block at a tree-local index.
+func (t *VTree) counterBlock(idx int) arch.BlockID {
+	return arch.CounterBase.Block() + arch.BlockID(t.geo.cbOff+idx)
 }
 
 // WritebackCounterBlock implements Tree: the lazy update when a dirty

@@ -53,7 +53,7 @@ func (x Int) Decimal() string {
 		sb.WriteByte('-')
 	}
 	fmt.Fprintf(&sb, "%d", parts[len(parts)-1]) //metalint:leaky out-of-model decimal rendering of a secret integer (String/diagnostic path)
-	for i := len(parts) - 2; i >= 0; i-- { //metalint:leaky out-of-model decimal rendering of a secret integer (String/diagnostic path)
+	for i := len(parts) - 2; i >= 0; i-- {      //metalint:leaky out-of-model decimal rendering of a secret integer (String/diagnostic path)
 		fmt.Fprintf(&sb, "%09d", parts[i]) //metalint:leaky out-of-model decimal rendering of a secret integer (String/diagnostic path)
 	}
 	return sb.String()

@@ -76,7 +76,7 @@ func (x Int) String() string {
 	for i := len(x.abs) - 1; i >= 0; i-- { //metalint:leaky trip-count per-limb walk of a secret integer
 		for sh := 28; sh >= 0; sh -= 4 {
 			d := (x.abs[i] >> uint(sh)) & 0xf //metalint:leaky addr digit/limb access into a secret integer
-			if !started && d == 0 { //metalint:leaky access-sequence sign/parity/compare branch on a secret integer
+			if !started && d == 0 {           //metalint:leaky access-sequence sign/parity/compare branch on a secret integer
 				continue
 			}
 			started = true

@@ -143,12 +143,12 @@ func Random(rng *arch.RNG, bitLen int) Int {
 	}
 	limbs := (bitLen + 31) / 32
 	x := make(nat, limbs) //metalint:leaky addr workspace sized by the modulus
-	for i := range x { //metalint:leaky trip-count trip count follows operand bit/limb structure
+	for i := range x {    //metalint:leaky trip-count trip count follows operand bit/limb structure
 		x[i] = uint32(rng.Uint64()) //metalint:leaky addr limb addressing follows operand size
 	}
 	top := uint(bitLen-1) % 32
 	x[limbs-1] &= (1 << (top + 1)) - 1 //metalint:leaky addr limb addressing follows operand size
-	x[limbs-1] |= 1 << top //metalint:leaky addr limb addressing follows operand size
+	x[limbs-1] |= 1 << top             //metalint:leaky addr limb addressing follows operand size
 	return Int{abs: x.norm()}
 }
 

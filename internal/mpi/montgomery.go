@@ -57,7 +57,7 @@ func (ctx *montCtx) redc(t nat) Int {
 		}
 		for j := i + ctx.k; carry > 0 && j < len(buf); j++ { //metalint:leaky trip-count trip count follows operand bit/limb structure
 			s := uint64(buf[j]) + carry //metalint:leaky addr limb addressing follows operand size
-			buf[j] = uint32(s) //metalint:leaky addr limb addressing follows operand size
+			buf[j] = uint32(s)          //metalint:leaky addr limb addressing follows operand size
 			carry = s >> 32
 		}
 	}

@@ -90,10 +90,10 @@ func (x nat) shl(s uint) nat {
 	}
 	limbs, rem := s/32, s%32
 	z := make(nat, len(x)+int(limbs)+1) //metalint:leaky addr scratch sized by operand limb count
-	for i := len(x) - 1; i >= 0; i-- { //metalint:leaky trip-count per-limb loop; trip count follows operand size
-		v := uint64(x[i]) << rem //metalint:leaky addr limb access at an operand-dependent offset
+	for i := len(x) - 1; i >= 0; i-- {  //metalint:leaky trip-count per-limb loop; trip count follows operand size
+		v := uint64(x[i]) << rem              //metalint:leaky addr limb access at an operand-dependent offset
 		z[uint(i)+limbs+1] |= uint32(v >> 32) //metalint:leaky addr limb access at an operand-dependent offset
-		z[uint(i)+limbs] |= uint32(v) //metalint:leaky addr limb access at an operand-dependent offset
+		z[uint(i)+limbs] |= uint32(v)         //metalint:leaky addr limb access at an operand-dependent offset
 	}
 	return z.norm()
 }
@@ -105,8 +105,8 @@ func (x nat) shr(s uint) nat {
 		return nil
 	}
 	z := make(nat, len(x)-limbs) //metalint:leaky addr scratch sized by operand limb count
-	for i := range z { //metalint:leaky trip-count per-limb loop; trip count follows operand size
-		v := uint64(x[i+limbs]) >> rem //metalint:leaky addr limb access at an operand-dependent offset
+	for i := range z {           //metalint:leaky trip-count per-limb loop; trip count follows operand size
+		v := uint64(x[i+limbs]) >> rem     //metalint:leaky addr limb access at an operand-dependent offset
 		if rem > 0 && i+limbs+1 < len(x) { //metalint:leaky access-sequence limb-value branch in non-CT mpi arithmetic
 			v |= uint64(x[i+limbs+1]) << (32 - rem) //metalint:leaky addr limb access at an operand-dependent offset
 		}
@@ -238,7 +238,7 @@ func (x nat) divMod(y nat) (nat, nat) {
 		d := uint64(y[0])
 		for i := len(x) - 1; i >= 0; i-- { //metalint:leaky trip-count per-limb loop; trip count follows operand size
 			cur := rem<<32 | uint64(x[i]) //metalint:leaky addr limb access at an operand-dependent offset
-			q[i] = uint32(cur / d) //metalint:leaky addr limb access at an operand-dependent offset
+			q[i] = uint32(cur / d)        //metalint:leaky addr limb access at an operand-dependent offset
 			rem = cur % d
 		}
 		if rem == 0 { //metalint:leaky access-sequence limb-value branch in non-CT mpi arithmetic
@@ -253,11 +253,11 @@ func (x nat) divMod(y nat) (nat, nat) {
 	n := len(v)
 	u = append(u, 0) // extra high limb for the algorithm
 	m := len(u) - n - 1
-	q := make(nat, m+1) //metalint:leaky addr scratch sized by operand limb count
-	vn1 := uint64(v[n-1]) //metalint:leaky addr limb access at an operand-dependent offset
-	vn2 := uint64(v[n-2]) //metalint:leaky addr limb access at an operand-dependent offset
+	q := make(nat, m+1)       //metalint:leaky addr scratch sized by operand limb count
+	vn1 := uint64(v[n-1])     //metalint:leaky addr limb access at an operand-dependent offset
+	vn2 := uint64(v[n-2])     //metalint:leaky addr limb access at an operand-dependent offset
 	for j := m; j >= 0; j-- { //metalint:leaky trip-count per-limb loop; trip count follows operand size
-		ujn := uint64(u[j+n]) //metalint:leaky addr limb access at an operand-dependent offset
+		ujn := uint64(u[j+n])             //metalint:leaky addr limb access at an operand-dependent offset
 		cur := ujn<<32 | uint64(u[j+n-1]) //metalint:leaky addr limb access at an operand-dependent offset
 		qhat := cur / vn1
 		rhat := cur % vn1
@@ -274,17 +274,17 @@ func (x nat) divMod(y nat) (nat, nat) {
 		for i := 0; i < n; i++ { //metalint:leaky trip-count per-limb loop; trip count follows operand size
 			p := qhat * uint64(v[i])
 			t := int64(uint64(u[j+i])) - borrow - int64(p&0xffffffff) //metalint:leaky addr limb access at an operand-dependent offset
-			u[j+i] = uint32(t) //metalint:leaky addr limb access at an operand-dependent offset
+			u[j+i] = uint32(t)                                        //metalint:leaky addr limb access at an operand-dependent offset
 			borrow = int64(p>>32) - (t >> 32)
 		}
 		t := int64(ujn) - borrow
 		u[j+n] = uint32(t) //metalint:leaky addr limb access at an operand-dependent offset
-		if t < 0 { // borrowed past the top: qhat was one too large //metalint:leaky access-sequence limb-value branch in non-CT mpi arithmetic
+		if t < 0 {         // borrowed past the top: qhat was one too large //metalint:leaky access-sequence limb-value branch in non-CT mpi arithmetic
 			qhat--
 			var c uint64
 			for i := 0; i < n; i++ { //metalint:leaky trip-count per-limb loop; trip count follows operand size
 				s := uint64(u[j+i]) + uint64(v[i]) + c //metalint:leaky addr limb access at an operand-dependent offset
-				u[j+i] = uint32(s) //metalint:leaky addr limb access at an operand-dependent offset
+				u[j+i] = uint32(s)                     //metalint:leaky addr limb access at an operand-dependent offset
 				c = s >> 32
 			}
 			u[j+n] = uint32(uint64(u[j+n]) + c) //metalint:leaky addr limb access at an operand-dependent offset

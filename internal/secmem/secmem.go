@@ -411,7 +411,7 @@ func (c *Controller) Write(now arch.Cycles, b arch.BlockID, plain crypto.Block) 
 			c.eng.DecryptTo(&scratch, &gst.ct, ch.Block, ch.Old)
 			c.eng.EncryptTo(&gst.ct, &scratch, ch.Block, ch.New)
 			gst.mac = c.eng.MACOf(&gst.ct, ch.Block, ch.New)
-			c.dram.Background(burst, ch.Block, c.cfg.DRAM.WriteLat+2*c.eng.AESLatency())
+			c.dram.Background(burst, ch.Block, 1, c.cfg.DRAM.WriteLat+2*c.eng.AESLatency())
 		}
 		now += overflowStall
 	}

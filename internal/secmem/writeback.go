@@ -92,14 +92,15 @@ func (c *Controller) applyTreeUpdate(now arch.Cycles, up *itree.Update) arch.Cyc
 		return now
 	}
 	c.stats.TreeOverflows++
-	c.stats.RehashedBlocks += uint64(len(up.Rehashed))
+	c.stats.RehashedBlocks += uint64(up.RehashedBlocks)
 	c.pendingTreeOverflow = true
-	c.pendingRehashed += len(up.Rehashed)
+	c.pendingRehashed += up.RehashedBlocks
 	// The subtree sweep (read, re-hash, write back every affected metadata
 	// block) is posted as a background burst occupying the blocks' banks;
 	// the triggering operation stalls only for the bookkeeping.
-	for _, b := range up.Rehashed {
-		c.dram.Background(now, b, c.cfg.DRAM.RowHit+c.cfg.DRAM.WriteLat+c.eng.HashLatency())
+	occupancy := c.cfg.DRAM.RowHit + c.cfg.DRAM.WriteLat + c.eng.HashLatency()
+	for _, r := range up.Rehashed {
+		c.dram.Background(now, r.First, r.N, occupancy)
 	}
 	return now + overflowStall
 }

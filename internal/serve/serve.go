@@ -126,7 +126,7 @@ type Server struct {
 	mu         sync.Mutex
 	cond       *sync.Cond // broadcast on any row, state change, or drain
 	sweeps     map[string]*sweepRun
-	order      []string            // submission order; /v1/status iterates this, never the map
+	order      []string             // submission order; /v1/status iterates this, never the map
 	byFP       map[string]*sweepRun // queued/running dedup
 	nextID     int
 	workerAddr string // active sweep's listener address, "" when idle
