@@ -38,12 +38,12 @@ secretflow-test:
 test:
 	$(GO) test -race ./...
 
-# The distributed-dispatch and sweep-service property tests, re-run
-# uncached so the byte-identity, revocation, supervision, and cache
-# invariants are exercised on every check even when the surrounding
-# packages are unchanged.
+# The distributed-dispatch, sweep-service and checkpoint property
+# tests, re-run uncached so the byte-identity, revocation, supervision,
+# cache and resume invariants are exercised on every check even when the
+# surrounding packages are unchanged.
 dispatch-race:
-	$(GO) test -race -count=1 -run 'Dispatch|Serve|Supervis|DialRetry|ResultCache|CellFingerprint|Hunt|JobSession' \
+	$(GO) test -race -count=1 -run 'Dispatch|Serve|Supervis|DialRetry|ResultCache|CellFingerprint|Hunt|JobSession|Checkpoint|Resume' \
 		./internal/dispatch ./internal/experiments ./internal/serve ./cmd/metaleak
 
 # Ten seconds of coverage-guided fuzzing per parser-shaped surface:
@@ -55,8 +55,10 @@ fuzz-smoke:
 
 # The differential-fuzzer smoke: a fixed 2-config x 4-program x 2-pair
 # grid must reproduce the committed verdict CSV byte for byte, at any
-# -par width and through the distributed dispatch path. Regenerate the
-# golden (after auditing the diff) by copying /tmp/hunt-smoke.csv over
+# -par width, through the distributed dispatch path, and across a
+# checkpoint torn mid-append (harness:trunc) and resumed, whose resume
+# must report the salvaged torn line. Regenerate the golden (after
+# auditing the diff) by copying /tmp/hunt-smoke.csv over
 # internal/hunt/testdata/smoke.csv.
 HUNT_SMOKE = hunt -configs sct,ht -programs 4 -pairs 2 -seed 42
 
@@ -65,6 +67,10 @@ hunt-smoke:
 	diff internal/hunt/testdata/smoke.csv /tmp/hunt-smoke.csv
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -par 1 2>/dev/null | diff /tmp/hunt-smoke.csv -
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -workers 2 2>/dev/null | diff /tmp/hunt-smoke.csv -
+	rm -f /tmp/hunt-smoke.ckpt
+	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-smoke.ckpt -faults 'harness:trunc@3' 2>/dev/null | diff /tmp/hunt-smoke.csv -
+	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-smoke.ckpt 2>/tmp/hunt-smoke.err | diff /tmp/hunt-smoke.csv -
+	grep -q 'discarded torn trailing line' /tmp/hunt-smoke.err
 
 # Sequential vs GOMAXPROCS-parallel wall-clock over the full experiment
 # registry: the speedup the spec/trial/merge harness buys on this

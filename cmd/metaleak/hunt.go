@@ -4,19 +4,14 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
-	"time"
 
 	"metaleak/internal/experiments"
-	"metaleak/internal/faults"
 	"metaleak/internal/hunt"
 	"metaleak/internal/machine"
-	"metaleak/internal/runner"
 )
 
 // huntCmd is the CLI face of the differential leakage fuzzer: expand a
@@ -33,19 +28,14 @@ func huntCmd(ctx context.Context, args []string) error {
 	secretLen := fs.Int("secret-len", 8, "secret length in bytes")
 	seed := fs.Uint64("seed", 0, "base seed (programs, secrets and machines all derive from it)")
 	asJSON := fs.Bool("json", false, "emit rows and summary as JSON (default CSV)")
-	par := fs.Int("par", 0, "max cells in flight (0 = GOMAXPROCS; output is identical for every value)")
-	checkpoint := fs.String("checkpoint", "", "persist completed cells to FILE and resume from it on rerun")
 	inventory := fs.String("inventory", "", "cross-check discovered channels against a secretflow leakage inventory FILE")
-	workers := fs.Int("workers", 0, "distributed: spawn N local `metaleak worker` processes and deal cells to them over a private socket")
-	listen := fs.String("listen", "", "distributed: accept remote `metaleak worker -connect` processes on ADDR (host:port, unix:PATH, or /path)")
-	leaseTimeout := fs.Duration("lease-timeout", 10*time.Second, "distributed: silence window after which a worker's leased cells revoke and re-deal")
-	token := fs.String("token", os.Getenv("METALEAK_TOKEN"), "distributed: shared auth token workers must present (default $METALEAK_TOKEN; empty = no auth)")
-	faultSpec := fs.String("faults", "", "fault plan (DESIGN.md §8): machine: entries corrupt metadata in every cell's machine, harness: entries fail trials and tear checkpoints")
-	retries := fs.Int("retries", 0, "extra attempts for a failed cell before quarantine")
-	trialTimeout := fs.Duration("trial-timeout", 0, "per-attempt cell deadline (0 = none)")
+	ex := addExecFlags(fs, "max cells in flight (0 = GOMAXPROCS; output is identical for every value)")
 	var sets multiFlag
 	fs.Var(&sets, "set", "DesignPoint field override Field=value (repeatable, e.g. -set Contract=\"allow=lat,time\")")
 	if _, err := parseInterleaved(fs, args); err != nil {
+		return err
+	}
+	if err := positive("hunt", fs, "programs", "pairs", "ops", "secret-len"); err != nil {
 		return err
 	}
 
@@ -78,79 +68,9 @@ func huntCmd(ctx context.Context, args []string) error {
 		axes.Set = append(axes.Set, s)
 	}
 
-	explicit := explicitFlags(fs)
-	distributed := *workers > 0 || *listen != ""
-	if distributed && explicit["par"] {
-		return fmt.Errorf("hunt: -par is the single-process pool width; with -workers/-listen concurrency is the attached worker count, drop -par")
-	}
-	if !distributed && explicit["lease-timeout"] {
-		return fmt.Errorf("hunt: -lease-timeout only applies to distributed runs; add -workers N or -listen ADDR")
-	}
-	if !distributed && explicit["token"] {
-		return fmt.Errorf("hunt: -token authenticates dispatch workers; add -workers N or -listen ADDR")
-	}
-
-	var harness *faults.Harness
-	var harnessSpec string
-	if *faultSpec != "" {
-		plan, err := faults.Parse(*faultSpec)
-		if err != nil {
-			return fmt.Errorf("hunt: %w", err)
-		}
-		if plan.HasMachine() {
-			for _, s := range axes.Set {
-				if strings.HasPrefix(s, "FaultSpec=") {
-					return fmt.Errorf("hunt: -faults machine entries conflict with -set FaultSpec; pass the plan once")
-				}
-			}
-			axes.Set = append(axes.Set, "FaultSpec="+plan.MachineSpec())
-		}
-		if plan.HasDisconnect() && !distributed {
-			return fmt.Errorf("hunt: harness:disconnect faults drop dispatch workers; they need a distributed run (-workers N or -listen ADDR)")
-		}
-		harness = plan.NewHarness()
-		harnessSpec = plan.HarnessSpec()
-	}
-
-	opts := experiments.SweepOptions{
-		Workers:    *par,
-		Checkpoint: *checkpoint,
-		Timeout:    *trialTimeout,
-		Retries:    *retries,
-		Faults:     harness,
-		Log: func(format string, logArgs ...any) {
-			fmt.Fprintf(os.Stderr, "# "+format+"\n", logArgs...)
-		},
-	}
-	if *retries > 0 {
-		opts.Backoff = runner.ExpBackoff(50 * time.Millisecond)
-	}
-
-	var rows []experiments.HuntRow
-	var err error
-	if distributed {
-		dopts := experiments.DispatchOptions{LeaseTimeout: *leaseTimeout, HarnessSpec: harnessSpec, Token: *token}
-		rows, err = huntDistributed(ctx, axes, opts, dopts, *workers, *listen)
-	} else {
-		rows, err = experiments.HuntOpts(ctx, axes, opts)
-	}
-	if err != nil {
-		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && len(rows) > 0 {
-			if emitErr := emitHunt(rows, *asJSON, *inventory); emitErr != nil {
-				return emitErr
-			}
-			total := len(axes.Cells())
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "# hunt interrupted: %d/%d cells done, checkpointed to %s; rerun the same command to resume\n",
-					len(rows), total, *checkpoint)
-			} else {
-				fmt.Fprintf(os.Stderr, "# hunt interrupted: %d/%d cells done (no -checkpoint: a rerun starts over)\n",
-					len(rows), total)
-			}
-		}
-		return err
-	}
-	return emitHunt(rows, *asJSON, *inventory)
+	return runGrid(ctx, "hunt", ex, explicitFlags(fs), &axes, &axes.Set, experiments.HuntOpts, experiments.HuntDispatch,
+		func(a experiments.HuntAxes) int { return len(a.Cells()) },
+		func(rows []experiments.HuntRow) error { return emitHunt(rows, *asJSON, *inventory) })
 }
 
 // emitHunt renders rows (CSV or JSON) on stdout, the divergence summary
@@ -212,16 +132,4 @@ func emitHunt(rows []experiments.HuntRow, asJSON bool, inventoryPath string) err
 		}
 	}
 	return nil
-}
-
-// huntDistributed is the hunt twin of sweepDistributed: same fleet
-// setup, hunt dispatch engine.
-func huntDistributed(ctx context.Context, axes experiments.HuntAxes, opts experiments.SweepOptions, dopts experiments.DispatchOptions, workers int, listen string) ([]experiments.HuntRow, error) {
-	var rows []experiments.HuntRow
-	err := runWithFleet(ctx, workers, listen, dopts.Token, func(ctx context.Context, ln net.Listener) error {
-		var err error
-		rows, err = experiments.HuntDispatch(ctx, axes, opts, dopts, ln)
-		return err
-	})
-	return rows, err
 }

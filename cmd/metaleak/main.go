@@ -281,18 +281,13 @@ func sweepCmd(ctx context.Context, args []string) error {
 	bits := fs.Int("bits", 120, "covert transmission length per cell")
 	asJSON := fs.Bool("json", false, "emit rows and aggregates as JSON (default CSV)")
 	long := fs.Bool("long", false, "emit long-format CSV: one (cell, metric, value) row per measurement")
-	par := fs.Int("par", 0, "max cells in flight (0 = GOMAXPROCS)")
-	checkpoint := fs.String("checkpoint", "", "persist completed cells to FILE and resume from it on rerun")
-	workers := fs.Int("workers", 0, "distributed: spawn N local `metaleak worker` processes and deal cells to them over a private socket")
-	listen := fs.String("listen", "", "distributed: accept remote `metaleak worker -connect` processes on ADDR (host:port, unix:PATH, or /path)")
-	leaseTimeout := fs.Duration("lease-timeout", 10*time.Second, "distributed: silence window after which a worker's leased cells revoke and re-deal")
-	token := fs.String("token", os.Getenv("METALEAK_TOKEN"), "distributed: shared auth token workers must present (default $METALEAK_TOKEN; empty = no auth)")
-	faultSpec := fs.String("faults", "", "fault plan (DESIGN.md §8): machine: entries corrupt metadata in every cell's machine, harness: entries fail trials and tear checkpoints")
-	retries := fs.Int("retries", 0, "extra attempts for a failed cell before quarantine")
-	trialTimeout := fs.Duration("trial-timeout", 0, "per-attempt cell deadline (0 = none)")
+	ex := addExecFlags(fs, "max cells in flight (0 = GOMAXPROCS)")
 	var sets multiFlag
 	fs.Var(&sets, "set", "DesignPoint field override Field=value (repeatable, e.g. -set FastCrypto=true)")
 	if _, err := parseInterleaved(fs, args); err != nil {
+		return err
+	}
+	if err := positive("sweep", fs, "seeds", "bits"); err != nil {
 		return err
 	}
 	if *asJSON && *long {
@@ -332,80 +327,9 @@ func sweepCmd(ctx context.Context, args []string) error {
 	if err := applySetFlags(&axes, sets, explicit); err != nil {
 		return err
 	}
-	distributed := *workers > 0 || *listen != ""
-	if distributed && explicit["par"] {
-		return fmt.Errorf("sweep: -par is the single-process pool width; with -workers/-listen concurrency is the attached worker count, drop -par")
-	}
-	if !distributed && explicit["lease-timeout"] {
-		return fmt.Errorf("sweep: -lease-timeout only applies to distributed runs; add -workers N or -listen ADDR")
-	}
-	if !distributed && explicit["token"] {
-		return fmt.Errorf("sweep: -token authenticates dispatch workers; add -workers N or -listen ADDR")
-	}
-	var harness *faults.Harness
-	var harnessSpec string
-	if *faultSpec != "" {
-		plan, err := faults.Parse(*faultSpec)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		if plan.HasMachine() {
-			// Machine-level entries are design-point state: route them
-			// through the override path so they join the sweep's identity
-			// (and the checkpoint fingerprint) like any other -set field.
-			for _, s := range axes.Set {
-				if strings.HasPrefix(s, "FaultSpec=") {
-					return fmt.Errorf("sweep: -faults machine entries conflict with -set FaultSpec; pass the plan once")
-				}
-			}
-			axes.Set = append(axes.Set, "FaultSpec="+plan.MachineSpec())
-		}
-		if plan.HasDisconnect() && !distributed {
-			return fmt.Errorf("sweep: harness:disconnect faults drop dispatch workers; they need a distributed run (-workers N or -listen ADDR)")
-		}
-		harness = plan.NewHarness()
-		harnessSpec = plan.HarnessSpec()
-	}
-	sweepOpts := experiments.SweepOptions{
-		Workers:    *par,
-		Checkpoint: *checkpoint,
-		Timeout:    *trialTimeout,
-		Retries:    *retries,
-		Faults:     harness,
-		Log: func(format string, logArgs ...any) {
-			fmt.Fprintf(os.Stderr, "# "+format+"\n", logArgs...)
-		},
-	}
-	if *retries > 0 {
-		sweepOpts.Backoff = runner.ExpBackoff(50 * time.Millisecond)
-	}
-
-	var rows []experiments.SweepRow
-	if distributed {
-		dopts := experiments.DispatchOptions{LeaseTimeout: *leaseTimeout, HarnessSpec: harnessSpec, Token: *token}
-		rows, err = sweepDistributed(ctx, axes, sweepOpts, dopts, *workers, *listen)
-	} else {
-		rows, err = experiments.SweepOpts(ctx, axes, sweepOpts)
-	}
-	if err != nil {
-		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && len(rows) > 0 {
-			// Interrupted mid-grid: report the completed rows before
-			// surfacing the cancellation.
-			if emitErr := emitSweep(axes, rows, *asJSON, *long); emitErr != nil {
-				return emitErr
-			}
-			total := len(axes.Cells())
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "# sweep interrupted: %d/%d cells done, checkpointed to %s; rerun the same command to resume\n",
-					len(rows), total, *checkpoint)
-			} else {
-				fmt.Fprintf(os.Stderr, "# sweep interrupted: %d/%d cells done (no -checkpoint: a rerun starts over)\n",
-					len(rows), total)
-			}
-		}
-		return err
-	}
-	return emitSweep(axes, rows, *asJSON, *long)
+	return runGrid(ctx, "sweep", ex, explicit, &axes, &axes.Set, experiments.SweepOpts, experiments.SweepDispatch,
+		func(a experiments.SweepAxes) int { return len(a.Cells()) },
+		func(rows []experiments.SweepRow) error { return emitSweep(axes, rows, *asJSON, *long) })
 }
 
 // explicitFlags returns the set of flags the user passed on the command

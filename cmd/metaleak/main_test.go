@@ -219,6 +219,44 @@ func TestSweepRejectsSilentAxisValues(t *testing.T) {
 	if err := run(ctx, []string{"sweep", "-meta", "0"}); err == nil {
 		t.Fatal("sweep -meta 0 accepted")
 	}
+	// Non-positive sizes used to run the default grid (-bits 0 and -5
+	// were byte-identical to -bits 120, -seeds 0 ran one rep).
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"sweep", "-seeds", "0"}, "-seeds 0"},
+		{[]string{"sweep", "-seeds", "-2"}, "-seeds -2"},
+		{[]string{"sweep", "-bits", "0"}, "-bits 0"},
+		{[]string{"sweep", "-bits", "-5"}, "-bits -5"},
+	} {
+		if err := run(ctx, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want a refusal naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestHuntRejectsSilentSizes: hunt's sizes must be positive — zero or a
+// negative value used to run the default grid under the flag's name
+// (-programs 0 ran 4 programs).
+func TestHuntRejectsSilentSizes(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"hunt", "-programs", "0", "-pairs", "1"}, "-programs 0"},
+		{[]string{"hunt", "-programs", "-1"}, "-programs -1"},
+		{[]string{"hunt", "-pairs", "-3"}, "-pairs -3"},
+		{[]string{"hunt", "-pairs", "0"}, "-pairs 0"},
+		{[]string{"hunt", "-ops", "0"}, "-ops 0"},
+		{[]string{"hunt", "-secret-len", "-1"}, "-secret-len -1"},
+		{[]string{"hunt", "-secret-len", "0"}, "-secret-len 0"},
+	} {
+		if err := run(ctx, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want a refusal naming %q", tc.args, err, tc.want)
+		}
+	}
 }
 
 // TestSweepSGXMinorNA: the sgx design point ignores the minor width, so

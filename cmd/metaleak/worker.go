@@ -120,15 +120,3 @@ func runWithFleet(ctx context.Context, workers int, listen, token string, body f
 	}
 	return body(ctx, ln)
 }
-
-// sweepDistributed runs the sweep through the dispatch coordinator on a
-// runWithFleet worker fleet.
-func sweepDistributed(ctx context.Context, axes experiments.SweepAxes, opts experiments.SweepOptions, dopts experiments.DispatchOptions, workers int, listen string) ([]experiments.SweepRow, error) {
-	var rows []experiments.SweepRow
-	err := runWithFleet(ctx, workers, listen, dopts.Token, func(ctx context.Context, ln net.Listener) error {
-		var err error
-		rows, err = experiments.SweepDispatch(ctx, axes, opts, dopts, ln)
-		return err
-	})
-	return rows, err
-}

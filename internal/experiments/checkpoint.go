@@ -1,28 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"sync"
 )
 
 // The checkpoint layer makes long sweeps restartable. A checkpoint file
-// is JSONL: a header line naming the format and the sweep's fingerprint,
-// then one completed SweepRow per line in completion order (duplicates
-// allowed; the last line for a cell wins). Rows are appended — O(1) per
-// settled cell — and every line ends with '\n', which makes the failure
-// mode of a crash legible: the only damage a SIGKILL mid-append can do
-// is one unterminated trailing line. Resume salvages around exactly
-// that: complete lines are loaded, a torn tail is logged, cut off, and
-// its cell re-run (deterministically reproducing the lost row). Damage
-// anywhere else — a complete line that does not parse or does not
-// belong to the grid — is not a crash signature and still fails loudly.
+// is an append log (appendlog.go): a header line naming the format and
+// the sweep's fingerprint, then one completed SweepRow per line in
+// completion order (duplicates allowed; the last line for a cell wins).
+// Resume loads the complete lines, salvages a torn tail and re-runs its
+// cell (deterministically reproducing the lost row).
 //
 // The fingerprint ties a checkpoint to the exact grid that wrote it:
 // the hash covers every expanded cell (config, axis labels, rep, and the
@@ -33,12 +22,6 @@ import (
 
 // checkpointFormat identifies the file layout; bump on changes.
 const checkpointFormat = "metaleak-sweep-checkpoint/v1"
-
-type checkpointHeader struct {
-	Format      string
-	Fingerprint string
-	Cells       int
-}
 
 // normalized applies the defaults Sweep applies, so fingerprints agree
 // with what actually runs.
@@ -69,20 +52,7 @@ func (a SweepAxes) Fingerprint() string {
 
 // Checkpoint is the durable record of a sweep in progress: completed
 // rows keyed by cell index, appended to disk as they settle.
-type Checkpoint struct {
-	path   string
-	header checkpointHeader
-	cells  []SweepCell
-
-	mu        sync.Mutex
-	rows      map[int]SweepRow
-	f         *os.File // lazily opened append handle
-	appends   int
-	tamper    func(path string, appendN int) bool
-	crashed   bool   // simulated writer death (fault injection)
-	discarded string // torn trailing line salvaged away at open
-	err       error  // first persistence failure; appends stop after it
-}
+type Checkpoint = gridCheckpoint[SweepCell, SweepRow]
 
 // OpenCheckpoint opens (or starts) the checkpoint for a sweep. A
 // missing or empty file begins an empty checkpoint; an existing one
@@ -94,195 +64,5 @@ type Checkpoint struct {
 // Discarded, cut off the file, and its cell left to re-run — instead
 // of failing the whole resume.
 func OpenCheckpoint(path string, axes SweepAxes) (*Checkpoint, error) {
-	axes = axes.normalized()
-	cells := axes.Cells()
-	cp := &Checkpoint{
-		path: path,
-		header: checkpointHeader{
-			Format:      checkpointFormat,
-			Fingerprint: axes.Fingerprint(),
-			Cells:       len(cells),
-		},
-		cells: cells,
-		rows:  map[int]SweepRow{},
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0) {
-		return cp, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// The file is a single torn line: a crash before the header's
-		// append completed. Nothing is salvageable, but nothing is lost
-		// either — start fresh.
-		cp.discarded = string(data)
-		if err := os.Truncate(path, 0); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: cutting torn header: %w", path, err)
-		}
-		return cp, nil
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil || hdr.Format != checkpointFormat {
-		return nil, fmt.Errorf("checkpoint %s: not a %s file", path, checkpointFormat)
-	}
-	if hdr.Fingerprint != cp.header.Fingerprint {
-		return nil, fmt.Errorf("checkpoint %s: fingerprint %.12s… does not match this sweep's %.12s… — "+
-			"it was written by different axes (configs, widths, sizes, noise, seeds, bits, or -set overrides); "+
-			"rerun with the original arguments or remove the file", path, hdr.Fingerprint, cp.header.Fingerprint)
-	}
-
-	off := nl + 1
-	rest := data[off:]
-	for line := 2; len(rest) > 0; line++ {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			// Torn trailing line: the crash signature. Salvage everything
-			// before it and cut the tear off so appends resume cleanly.
-			cp.discarded = string(rest)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: cutting torn line: %w", path, err)
-			}
-			break
-		}
-		seg := rest[:idx]
-		off += idx + 1
-		rest = rest[idx+1:]
-		if len(bytes.TrimSpace(seg)) == 0 {
-			continue
-		}
-		var row SweepRow
-		if err := json.Unmarshal(seg, &row); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, line, err)
-		}
-		if row.Index < 0 || row.Index >= len(cells) {
-			return nil, fmt.Errorf("checkpoint %s: line %d: cell index %d outside the %d-cell grid",
-				path, line, row.Index, len(cells))
-		}
-		if row.SweepCell != cells[row.Index] {
-			return nil, fmt.Errorf("checkpoint %s: line %d: cell %d does not match the grid (file %+v, grid %+v)",
-				path, line, row.Index, row.SweepCell, cells[row.Index])
-		}
-		cp.rows[row.Index] = row
-	}
-	return cp, nil
-}
-
-// Discarded returns the torn trailing line OpenCheckpoint salvaged
-// away, if any — callers surface it as a warning so the data loss
-// (exactly one re-runnable cell) is visible, not silent.
-func (c *Checkpoint) Discarded() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.discarded
-}
-
-// SetTamperer installs the fault-injection hook: after every successful
-// append it receives the file path and the 1-based append count, and a
-// true return simulates the writing process dying — the file is left
-// exactly as the tamperer arranged it and every later append is
-// silently dropped, which is what death looks like to the file.
-func (c *Checkpoint) SetTamperer(fn func(path string, appendN int) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tamper = fn
-}
-
-// Completed returns the checkpointed rows that finished without error,
-// keyed by cell index. Failed rows are deliberately excluded: resume
-// re-runs them — a deterministic failure reproduces the identical row,
-// and a transient one (a since-fixed config, a freed resource) gets its
-// retry.
-func (c *Checkpoint) Completed() map[int]SweepRow {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]SweepRow, len(c.rows))
-	for i, r := range c.rows {
-		if r.Err == "" {
-			out[i] = r
-		}
-	}
-	return out
-}
-
-// Append records a settled row and appends it to the file. Safe for
-// concurrent use; after the first persistence failure further appends
-// are dropped and Err reports the failure.
-func (c *Checkpoint) Append(row SweepRow) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil || c.crashed {
-		return
-	}
-	c.rows[row.Index] = row
-	c.err = c.appendLocked(row)
-}
-
-// Err returns the first persistence failure, if any. A simulated crash
-// from the tamper hook is not a failure — it is the scenario under
-// test.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Close releases the append handle. The file needs no finalization —
-// every append left it complete.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
-}
-
-// appendLocked writes one row line, opening the file (and writing the
-// header) on first use. Lines are written in single Write calls ending
-// in '\n', so the only state a crash can leave behind is a torn final
-// line — the exact shape OpenCheckpoint knows how to salvage.
-func (c *Checkpoint) appendLocked(row SweepRow) error {
-	if c.f == nil {
-		f, err := os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("checkpoint %s: %w", c.path, err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("checkpoint %s: %w", c.path, err)
-		}
-		if st.Size() == 0 {
-			hdr, err := json.Marshal(c.header)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := f.Write(append(hdr, '\n')); err != nil {
-				f.Close()
-				return fmt.Errorf("checkpoint %s: %w", c.path, err)
-			}
-		}
-		c.f = f
-	}
-	line, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
-	c.appends++
-	if c.tamper != nil && c.tamper(c.path, c.appends) {
-		c.crashed = true
-		c.f.Close()
-		c.f = nil
-	}
-	return nil
+	return openCheckpoint(path, axes.normalized().asGrid(nil))
 }

@@ -3,11 +3,8 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"strings"
-	"sync"
 	"time"
 
 	"metaleak/internal/dispatch"
@@ -15,123 +12,16 @@ import (
 	"metaleak/internal/runner"
 )
 
-// This file binds the generic coordinator/worker protocol of
-// internal/dispatch to the sweep engine. The contract is the same one
-// the in-process runner honors: distribution is pure scheduling. A
-// cell's row is a function of the axes and the cell index — which
-// worker process ran it, in what steal order, and after how many
-// revoked leases never appears in the output — so SweepDispatch's
-// merged rows are byte-identical to SweepOpts' for any worker count,
-// steal schedule, or mid-run worker death.
-
-// SweepJob is the opaque job spec a sweep coordinator ships to its
-// workers: everything a worker needs to expand the identical grid and
-// run any cell of it.
-type SweepJob struct {
-	// Kind tags the engine for NewJobSession routing ("sweep"); empty is
-	// accepted for specs written before hunt jobs existed.
-	Kind string `json:",omitempty"`
-	// Axes is the normalized sweep grid (including -set overrides, and
-	// hence any machine-level fault spec riding them).
-	Axes SweepAxes
-	// Fingerprint is the coordinator's Axes.Fingerprint(); a worker
-	// whose own expansion fingerprints differently is running skewed
-	// code and refuses the job rather than contributing wrong rows.
-	Fingerprint string
-	// Timeout is the per-attempt deadline each worker applies locally;
-	// 0 disables stall detection.
-	Timeout time.Duration
-	// HarnessSpec carries the plan's harness-level fault entries
-	// (re-rendered by faults.Plan.HarnessSpec) so worker-side faults —
-	// disconnect above all — fire in the process holding the lease.
-	HarnessSpec string
-}
-
-// NewSweepSession initializes a worker-side dispatch session from a
-// SweepJob payload, building the session's fault harness from the
-// job's harness spec (per-process attempt counting). It is the Init
-// hook `metaleak worker` uses.
-func NewSweepSession(spec json.RawMessage) (dispatch.Session, error) {
-	var h *faults.Harness
-	var job SweepJob
-	if err := json.Unmarshal(spec, &job); err != nil {
-		return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
-	}
-	if job.HarnessSpec != "" {
-		plan, err := faults.Parse(job.HarnessSpec)
-		if err != nil {
-			return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
-		}
-		h = plan.NewHarness()
-	}
-	return newSweepSession(job, h)
-}
-
-// NewSweepSessionHarness is NewSweepSession with a caller-supplied
-// harness (ignoring the job's spec) — in-process workers share one
-// harness so planned faults count attempts globally and fire
-// deterministically, the shape the chaos invariants assert.
-func NewSweepSessionHarness(spec json.RawMessage, h *faults.Harness) (dispatch.Session, error) {
-	var job SweepJob
-	if err := json.Unmarshal(spec, &job); err != nil {
-		return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
-	}
-	return newSweepSession(job, h)
-}
-
-func newSweepSession(job SweepJob, h *faults.Harness) (dispatch.Session, error) {
-	prep, err := sweepPrep(job.Axes, SweepOptions{})
-	if err != nil {
-		return dispatch.Session{}, err
-	}
-	if fp := prep.axes.Fingerprint(); fp != job.Fingerprint {
-		return dispatch.Session{}, fmt.Errorf(
-			"sweep job: grid fingerprint mismatch (coordinator %.12s…, worker %.12s…): worker binary expands a different grid — version skew",
-			job.Fingerprint, fp)
-	}
-	cells, ovs, bits := prep.cells, prep.ovs, prep.axes.Bits
-	run := func(ctx context.Context, cell int) (json.RawMessage, error) {
-		if cell < 0 || cell >= len(cells) {
-			return nil, fmt.Errorf("leased cell %d outside grid of %d", cell, len(cells))
-		}
-		c := cells[cell]
-		trial := h.WrapTrial(c.Index, func() (any, error) {
-			return runSweepCell(c, bits, ovs)
-		})
-		// One lease is one attempt: run it under the same single-attempt
-		// deadline machinery the in-process pool uses, so stalls and
-		// panics settle to the identical error strings. Retries are the
-		// coordinator's job (lease budget), not the worker's.
-		res, errs := runner.RunAllPolicy(ctx, []runner.Trial{trial},
-			runner.Policy{Workers: 1, Timeout: job.Timeout}, nil)
-		if errs[0] != nil {
-			return nil, attemptCause(errs[0])
-		}
-		payload, err := json.Marshal(res[0].(SweepRow))
-		if err != nil {
-			return nil, err
-		}
-		return payload, nil
-	}
-	return dispatch.Session{Run: run, Drop: func(cell int) bool {
-		if cell < 0 || cell >= len(cells) {
-			return false
-		}
-		return h.Disconnect(cells[cell].Index)
-	}}, nil
-}
-
-// attemptCause strips the runner's TrialError envelope so the attempt
-// error the coordinator records is the same string settledRow would put
-// in a single-process row ("trial N:" prefixes depend on pool slot
-// numbering and must not leak into results).
-func attemptCause(err error) error {
-	var te *runner.TrialError
-	if errors.As(err, &te) && te.Err != nil {
-		return te.Err
-	}
-	return err
-}
+// This file is the sweep's face of the generic coordinator/worker
+// protocol of internal/dispatch, which the grid engine (grid.go) binds
+// for every kind: the dispatch options, SweepDispatch with its result
+// cache, and the in-process fleets the chaos driver and tests use. The
+// contract is the same one the in-process runner honors: distribution
+// is pure scheduling. A cell's row is a function of the axes and the
+// cell index — which worker process ran it, in what steal order, and
+// after how many revoked leases never appears in the output — so
+// SweepDispatch's merged rows are byte-identical to SweepOpts' for any
+// worker count, steal schedule, or mid-run worker death.
 
 // DispatchOptions configures the coordinator side of a distributed
 // sweep, on top of the usual SweepOptions.
@@ -156,7 +46,7 @@ type DispatchOptions struct {
 	// pending cells already in it are served without computing (logged
 	// per cell through opts.Log), and every freshly settled clean row is
 	// added. The key excludes the grid index, so overlapping grids share
-	// cells.
+	// cells. Cache and OnRow hold sweep rows; HuntDispatch refuses both.
 	Cache *ResultCache
 	// OnRow, when non-nil, observes every row of the final output as it
 	// becomes known: rows settled before dispatch (checkpoint- or
@@ -176,172 +66,43 @@ type DispatchOptions struct {
 // checkpoint tamper hook — worker-side faults travel via
 // dopts.HarnessSpec.
 func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, ln net.Listener) ([]SweepRow, error) {
-	prep, err := sweepPrep(axes, opts)
+	g, err := newSweepGrid(axes)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if prep.cp != nil {
-		defer prep.cp.Close()
-	}
-
-	// Content-addressed cache: serve pending cells some earlier sweep
-	// (any grid, any client) already computed. Served rows join the
-	// checkpoint so a later resume of this grid no longer needs the
-	// cache.
+	h := dispatchHooks[SweepCell, SweepRow]{onRow: dopts.OnRow}
 	if dopts.Cache != nil {
-		kept := prep.pending[:0]
-		for _, i := range prep.pending {
-			key := CellFingerprint(prep.cells[i], prep.axes.Bits, prep.axes.Set)
+		// Content-addressed cache: serve pending cells some earlier sweep
+		// (any grid, any client) already computed.
+		a := g.axes.(SweepAxes)
+		h.lookup = func(c SweepCell) (SweepRow, bool) {
+			key := CellFingerprint(c, a.Bits, a.Set)
 			row, ok := dopts.Cache.Get(key)
 			if !ok {
-				kept = append(kept, i)
-				continue
+				return row, false
 			}
-			row.SweepCell = prep.cells[i] // re-stamp the grid index; the key covers every other field
-			prep.done[i] = row
+			row.SweepCell = c // re-stamp the grid index; the key covers every other field
 			if opts.Log != nil {
-				opts.Log("sweep: cell %d served from cache (%.12s…)", i, key)
+				opts.Log("sweep: cell %d served from cache (%.12s…)", c.Index, key)
 			}
-			if prep.cp != nil {
-				prep.cp.Append(row)
-			}
+			return row, true
 		}
-		prep.pending = kept
-	}
-	if dopts.OnRow != nil {
-		for i := range prep.cells {
-			if row, ok := prep.done[i]; ok {
-				dopts.OnRow(row, true)
-			}
+		h.store = func(row SweepRow) {
+			dopts.Cache.Put(CellFingerprint(row.SweepCell, a.Bits, a.Set), row)
 		}
 	}
-
-	// Fully satisfied without computing: skip the coordinator entirely —
-	// a resubmitted spec completes even with zero workers attached.
-	if len(prep.pending) == 0 {
-		ln.Close()
-		rows := make([]SweepRow, 0, len(prep.cells))
-		for i := range prep.cells {
-			rows = append(rows, prep.done[i])
-		}
-		if prep.cp != nil {
-			if err := prep.cp.Err(); err != nil {
-				return rows, err
-			}
-		}
-		return rows, nil
-	}
-
-	job := SweepJob{
-		Kind:        "sweep",
-		Axes:        prep.axes,
-		Fingerprint: prep.axes.Fingerprint(),
-		Timeout:     opts.Timeout,
-		HarnessSpec: dopts.HarnessSpec,
-	}
-	spec, err := json.Marshal(job)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-
-	retries := opts.Retries
-	cells := prep.cells
-	co := dispatch.NewCoordinator(spec, prep.pending, dispatch.Options{
-		LeaseTimeout: dopts.LeaseTimeout,
-		MaxLeases:    1 + retries,
-		Token:        dopts.Token,
-		Revive:       dopts.Revive,
-		RetryBackoff: dopts.RetryBackoff,
-		Log:          opts.Log,
-		OnSettled: func(cell int, s dispatch.Settled) {
-			if prep.cp == nil && dopts.Cache == nil && dopts.OnRow == nil {
-				return
-			}
-			row, ok := dispatchRow(cells[cell], s, retries)
-			if !ok {
-				return
-			}
-			if prep.cp != nil {
-				prep.cp.Append(row)
-			}
-			if dopts.Cache != nil {
-				dopts.Cache.Put(CellFingerprint(row.SweepCell, prep.axes.Bits, prep.axes.Set), row)
-			}
-			if dopts.OnRow != nil {
-				dopts.OnRow(row, false)
-			}
-		},
-	})
-	settled, runErr := co.Run(ctx, ln)
-
-	rows := make([]SweepRow, 0, len(cells))
-	interrupted := false
-	for i := range cells {
-		if row, ok := prep.done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
-		s, ok := settled[i]
-		if !ok {
-			interrupted = true
-			continue
-		}
-		if row, ok := dispatchRow(cells[i], s, retries); ok {
-			rows = append(rows, row)
-		} else {
-			interrupted = true
-		}
-	}
-	if prep.cp != nil {
-		if err := prep.cp.Err(); err != nil {
-			return rows, err
-		}
-	}
-	if runErr != nil {
-		return rows, runErr
-	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
+	return g.dispatch(ctx, opts, dopts, ln, h)
 }
 
-// runLocalDispatch is the in-process distributed path the chaos driver
-// and tests use: SweepDispatch with n worker goroutines attached over
-// loopback TCP, all sharing one fault harness so planned worker faults
-// (disconnect above all) count attempts globally and fire
-// deterministically. Subprocess workers (`metaleak worker`) go through
-// NewSweepSession instead.
+// runLocalDispatch is SweepDispatch on an in-process local fleet of n
+// workers sharing the fault harness h (onLocalFleet) — the distributed
+// path the chaos driver and tests use. Subprocess workers (`metaleak
+// worker`) go through NewJobSession instead.
 func runLocalDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, n int, h *faults.Harness) ([]SweepRow, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := ln.Addr().String()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		w := &dispatch.Worker{
-			ID:        fmt.Sprintf("local-%d", i),
-			Heartbeat: 50 * time.Millisecond,
-			Init: func(spec json.RawMessage) (dispatch.Session, error) {
-				return NewSweepSessionHarness(spec, h)
-			},
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := dispatch.Dial(addr)
-			if err != nil {
-				return
-			}
-			w.Run(ctx, conn)
-		}()
-	}
-	rows, err := SweepDispatch(ctx, axes, opts, dopts, ln)
-	wg.Wait()
-	return rows, err
+	return onLocalFleet(ctx, n, h, func(ln net.Listener) ([]SweepRow, error) {
+		return SweepDispatch(ctx, axes, opts, dopts, ln)
+	})
 }
 
 // runSupervisedDispatch is runLocalDispatch with self-healing: the n
@@ -369,7 +130,7 @@ func runSupervisedDispatch(ctx context.Context, axes SweepAxes, opts SweepOption
 				Heartbeat: 50 * time.Millisecond,
 				Token:     dopts.Token,
 				Init: func(spec json.RawMessage) (dispatch.Session, error) {
-					return NewSweepSessionHarness(spec, h)
+					return newJobSession(spec, h)
 				},
 			}
 			conn, err := dispatch.DialRetry(ctx, addr, 5, runner.ExpBackoff(5*time.Millisecond))
@@ -387,35 +148,4 @@ func runSupervisedDispatch(ctx context.Context, axes SweepAxes, opts SweepOption
 		err = serr
 	}
 	return rows, err
-}
-
-// dispatchRow converts one settled dispatch outcome into a row,
-// mirroring settledRow byte for byte: a failed cell's Err joins every
-// attempt's error with newlines (the same rendering errors.Join gives
-// the in-process pool), and Attempts/Quarantined only appear under a
-// retry policy.
-func dispatchRow(c SweepCell, s dispatch.Settled, retries int) (SweepRow, bool) {
-	if s.Err == "" {
-		var row SweepRow
-		if err := json.Unmarshal(s.Payload, &row); err != nil {
-			row = SweepRow{SweepCell: c, Err: fmt.Sprintf("undecodable result payload: %v", err)}
-			if retries > 0 {
-				row.Attempts = s.Attempts
-				row.Quarantined = true
-			}
-			return row, true
-		}
-		return row, true
-	}
-	if strings.Contains(s.Err, "context canceled") && len(s.Errs) == 1 {
-		// A worker caught the cancellation before the coordinator did:
-		// not a measurement, not a failure — the cell simply didn't run.
-		return SweepRow{}, false
-	}
-	row := SweepRow{SweepCell: c, Err: s.Err}
-	if retries > 0 {
-		row.Attempts = s.Attempts
-		row.Quarantined = true
-	}
-	return row, true
 }

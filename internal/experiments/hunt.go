@@ -2,19 +2,14 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net"
-	"strings"
-	"sync"
-	"time"
 
 	"metaleak/internal/arch"
-	"metaleak/internal/dispatch"
 	"metaleak/internal/hunt"
 	"metaleak/internal/machine"
-	"metaleak/internal/runner"
 )
 
 // The hunt engine drives the differential leakage fuzzer
@@ -75,10 +70,26 @@ func (a HuntAxes) normalized() HuntAxes {
 	return a
 }
 
-// Validate rejects grids that cannot mean anything.
+// Validate rejects grids that cannot mean anything, and negative sizes,
+// which normalization would silently replace by the defaults (zero
+// selects the default).
 func (a HuntAxes) Validate() error {
 	if len(a.Configs) == 0 {
 		return fmt.Errorf("hunt: no configs")
+	}
+	d := DefaultHuntAxes()
+	for _, f := range []struct {
+		name   string
+		v, def int
+	}{
+		{"program count", a.Programs, d.Programs},
+		{"pair count", a.Pairs, d.Pairs},
+		{"op count", a.Ops, d.Ops},
+		{"secret length", a.SecretLen, d.SecretLen},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("hunt: %s %d would be silently normalized to the default %d; pass a positive value (0 selects the default)", f.name, f.v, f.def)
+		}
 	}
 	return nil
 }
@@ -237,75 +248,6 @@ func Summarize(rows []HuntRow) HuntSummary {
 	return s
 }
 
-// huntPrep mirrors sweepPrep: normalize, validate, vet overrides,
-// expand, and open the checkpoint.
-type huntPrelude struct {
-	axes    HuntAxes
-	ovs     []machine.FieldOverride
-	cells   []HuntCell
-	cp      *HuntCheckpoint
-	done    map[int]HuntRow
-	pending []int
-}
-
-func huntPrep(axes HuntAxes, opts SweepOptions) (*huntPrelude, error) {
-	axes = axes.normalized()
-	if err := axes.Validate(); err != nil {
-		return nil, err
-	}
-	ovs, err := machine.ParseOverrides(axes.Set)
-	if err != nil {
-		return nil, fmt.Errorf("hunt: %w", err)
-	}
-	scratch := machine.ConfigSCT()
-	if err := machine.ApplyOverrides(&scratch, ovs); err != nil {
-		return nil, fmt.Errorf("hunt: %w", err)
-	}
-	prep := &huntPrelude{axes: axes, ovs: ovs, cells: axes.Cells(), done: map[int]HuntRow{}}
-
-	if opts.Checkpoint != "" {
-		cp, err := OpenHuntCheckpoint(opts.Checkpoint, axes)
-		if err != nil {
-			return nil, err
-		}
-		prep.cp = cp
-		if opts.Faults != nil {
-			cp.SetTamperer(opts.Faults.AfterAppend)
-		}
-		if d := cp.Discarded(); d != "" && opts.Log != nil {
-			opts.Log("checkpoint %s: discarded torn trailing line (%d bytes, crash mid-append); its cell will re-run", opts.Checkpoint, len(d))
-		}
-		prep.done = cp.Completed()
-	}
-	for i := range prep.cells {
-		if _, ok := prep.done[i]; !ok {
-			prep.pending = append(prep.pending, i)
-		}
-	}
-	return prep, nil
-}
-
-// settledHuntRow mirrors settledRow for hunt cells.
-func settledHuntRow(c HuntCell, res any, err error, pol runner.Policy) (HuntRow, bool) {
-	switch {
-	case err == nil:
-		return res.(HuntRow), true
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return HuntRow{}, false
-	default:
-		row := HuntRow{HuntCell: c, Err: err.Error()}
-		var te *runner.TrialError
-		if errors.As(err, &te) {
-			row.Err = te.Err.Error()
-			if pol.Retries > 0 {
-				row.Attempts = te.Attempts
-				row.Quarantined = true
-			}
-		}
-		return row, true
-	}
-}
-
 // Hunt runs the whole grid with at most `workers` cells in flight.
 func Hunt(ctx context.Context, axes HuntAxes, workers int) ([]HuntRow, error) {
 	return HuntOpts(ctx, axes, SweepOptions{Workers: workers})
@@ -316,271 +258,96 @@ func Hunt(ctx context.Context, axes HuntAxes, workers int) ([]HuntRow, error) {
 // (workers, checkpoint, deadlines, retries, harness faults) are
 // engine-independent.
 func HuntOpts(ctx context.Context, axes HuntAxes, opts SweepOptions) ([]HuntRow, error) {
-	prep, err := huntPrep(axes, opts)
+	g, err := newHuntGrid(axes)
 	if err != nil {
 		return nil, err
 	}
-	axes, cells, cp, done := prep.axes, prep.cells, prep.cp, prep.done
-	ovs := prep.ovs
-	if cp != nil {
-		defer cp.Close()
-	}
-
-	pol := runner.Policy{
-		Workers: opts.Workers,
-		Timeout: opts.Timeout,
-		Retries: opts.Retries,
-		Backoff: opts.Backoff,
-	}
-	pending := prep.pending
-	trials := make([]runner.Trial, len(pending))
-	for ti, i := range pending {
-		c := cells[i]
-		trials[ti] = opts.Faults.WrapTrial(c.Index, func() (any, error) {
-			return runHuntCell(c, axes, ovs)
-		})
-	}
-	var onDone func(int, any, error)
-	if cp != nil {
-		onDone = func(ti int, res any, err error) {
-			if row, ok := settledHuntRow(cells[pending[ti]], res, err, pol); ok {
-				cp.Append(row)
-			}
-		}
-	}
-	parts, errs := runner.RunAllPolicy(ctx, trials, pol, onDone)
-
-	rows := make([]HuntRow, 0, len(cells))
-	interrupted := false
-	ti := 0
-	for i := range cells {
-		if row, ok := done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
-		row, ok := settledHuntRow(cells[i], parts[ti], errs[ti], pol)
-		ti++
-		if !ok {
-			interrupted = true
-			continue
-		}
-		rows = append(rows, row)
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return rows, err
-		}
-	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
+	return g.runPool(ctx, opts)
 }
 
-// HuntJob is the opaque job spec a hunt coordinator ships to workers;
-// Kind routes it (NewJobSession) so one worker binary serves both
-// engines.
-type HuntJob struct {
-	Kind        string // "hunt"
-	Axes        HuntAxes
-	Fingerprint string
-	Timeout     time.Duration
-	HarnessSpec string
-}
-
-// NewHuntSession initializes a worker-side dispatch session from a
-// HuntJob payload.
-func NewHuntSession(spec json.RawMessage) (dispatch.Session, error) {
-	var job HuntJob
-	if err := json.Unmarshal(spec, &job); err != nil {
-		return dispatch.Session{}, fmt.Errorf("hunt job: %w", err)
-	}
-	h, err := harnessFromSpec(job.HarnessSpec)
-	if err != nil {
-		return dispatch.Session{}, fmt.Errorf("hunt job: %w", err)
-	}
-	prep, err := huntPrep(job.Axes, SweepOptions{})
-	if err != nil {
-		return dispatch.Session{}, err
-	}
-	if fp := prep.axes.Fingerprint(); fp != job.Fingerprint {
-		return dispatch.Session{}, fmt.Errorf(
-			"hunt job: grid fingerprint mismatch (coordinator %.12s…, worker %.12s…): worker binary expands a different grid — version skew",
-			job.Fingerprint, fp)
-	}
-	cells, ovs, axes := prep.cells, prep.ovs, prep.axes
-	run := func(ctx context.Context, cell int) (json.RawMessage, error) {
-		if cell < 0 || cell >= len(cells) {
-			return nil, fmt.Errorf("leased cell %d outside grid of %d", cell, len(cells))
-		}
-		c := cells[cell]
-		trial := h.WrapTrial(c.Index, func() (any, error) {
-			return runHuntCell(c, axes, ovs)
-		})
-		res, errs := runner.RunAllPolicy(ctx, []runner.Trial{trial},
-			runner.Policy{Workers: 1, Timeout: job.Timeout}, nil)
-		if errs[0] != nil {
-			return nil, attemptCause(errs[0])
-		}
-		payload, err := json.Marshal(res[0].(HuntRow))
-		if err != nil {
-			return nil, err
-		}
-		return payload, nil
-	}
-	return dispatch.Session{Run: run, Drop: func(cell int) bool {
-		if cell < 0 || cell >= len(cells) {
-			return false
-		}
-		return h.Disconnect(cells[cell].Index)
-	}}, nil
-}
-
-// HuntDispatch runs the grid distributed, mirroring SweepDispatch:
+// HuntDispatch runs the grid distributed, like SweepDispatch:
 // work-stealing leases over ln, checkpoint streaming, grid-order rows
-// byte-identical to HuntOpts for any worker fleet.
+// byte-identical to HuntOpts for any worker fleet. The result cache and
+// OnRow hold sweep rows, so a hunt given either is refused.
 func HuntDispatch(ctx context.Context, axes HuntAxes, opts SweepOptions, dopts DispatchOptions, ln net.Listener) ([]HuntRow, error) {
-	prep, err := huntPrep(axes, opts)
+	g, err := newHuntGrid(axes)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if prep.cp != nil {
-		defer prep.cp.Close()
-	}
-
-	if len(prep.pending) == 0 {
-		ln.Close()
-		rows := make([]HuntRow, 0, len(prep.cells))
-		for i := range prep.cells {
-			rows = append(rows, prep.done[i])
-		}
-		if prep.cp != nil {
-			if err := prep.cp.Err(); err != nil {
-				return rows, err
-			}
-		}
-		return rows, nil
-	}
-
-	job := HuntJob{
-		Kind:        "hunt",
-		Axes:        prep.axes,
-		Fingerprint: prep.axes.Fingerprint(),
-		Timeout:     opts.Timeout,
-		HarnessSpec: dopts.HarnessSpec,
-	}
-	spec, err := json.Marshal(job)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-
-	retries := opts.Retries
-	cells := prep.cells
-	co := dispatch.NewCoordinator(spec, prep.pending, dispatch.Options{
-		LeaseTimeout: dopts.LeaseTimeout,
-		MaxLeases:    1 + retries,
-		Token:        dopts.Token,
-		Revive:       dopts.Revive,
-		RetryBackoff: dopts.RetryBackoff,
-		Log:          opts.Log,
-		OnSettled: func(cell int, s dispatch.Settled) {
-			if prep.cp == nil {
-				return
-			}
-			if row, ok := huntDispatchRow(cells[cell], s, retries); ok {
-				prep.cp.Append(row)
-			}
-		},
-	})
-	settled, runErr := co.Run(ctx, ln)
-
-	rows := make([]HuntRow, 0, len(cells))
-	interrupted := false
-	for i := range cells {
-		if row, ok := prep.done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
-		s, ok := settled[i]
-		if !ok {
-			interrupted = true
-			continue
-		}
-		if row, ok := huntDispatchRow(cells[i], s, retries); ok {
-			rows = append(rows, row)
-		} else {
-			interrupted = true
-		}
-	}
-	if prep.cp != nil {
-		if err := prep.cp.Err(); err != nil {
-			return rows, err
-		}
-	}
-	if runErr != nil {
-		return rows, runErr
-	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
+	return g.dispatch(ctx, opts, dopts, ln, dispatchHooks[HuntCell, HuntRow]{})
 }
 
-// runLocalHuntDispatch is HuntDispatch with n in-process worker
-// goroutines attached over loopback TCP, each initializing through the
-// same Kind-routing NewJobSession the `metaleak worker` subprocess
-// uses — the tests' model of a mixed fleet.
+// runLocalHuntDispatch is HuntDispatch on an in-process local fleet of
+// n workers (onLocalFleet), the tests' model of a mixed fleet.
 func runLocalHuntDispatch(ctx context.Context, axes HuntAxes, opts SweepOptions, dopts DispatchOptions, n int) ([]HuntRow, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return onLocalFleet(ctx, n, nil, func(ln net.Listener) ([]HuntRow, error) {
+		return HuntDispatch(ctx, axes, opts, dopts, ln)
+	})
+}
+
+// newHuntGrid validates and normalizes the axes, parses and vets the
+// design-point overrides, and expands the grid.
+func newHuntGrid(axes HuntAxes) (*grid[HuntCell, HuntRow], error) {
+	if err := axes.Validate(); err != nil {
+		return nil, err
+	}
+	axes = axes.normalized()
+	ovs, err := parseSet("hunt", axes.Set)
 	if err != nil {
 		return nil, err
 	}
-	addr := ln.Addr().String()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		w := &dispatch.Worker{
-			ID:        fmt.Sprintf("hunt-local-%d", i),
-			Heartbeat: 50 * time.Millisecond,
-			Init:      NewJobSession,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := dispatch.Dial(addr)
-			if err != nil {
-				return
-			}
-			w.Run(ctx, conn)
-		}()
-	}
-	rows, err := HuntDispatch(ctx, axes, opts, dopts, ln)
-	wg.Wait()
-	return rows, err
+	return axes.asGrid(ovs), nil
 }
 
-// huntDispatchRow mirrors dispatchRow for hunt cells.
-func huntDispatchRow(c HuntCell, s dispatch.Settled, retries int) (HuntRow, bool) {
-	if s.Err == "" {
-		var row HuntRow
-		if err := json.Unmarshal(s.Payload, &row); err != nil {
-			row = HuntRow{HuntCell: c, Err: fmt.Sprintf("undecodable result payload: %v", err)}
-			if retries > 0 {
-				row.Attempts = s.Attempts
-				row.Quarantined = true
-			}
-			return row, true
-		}
-		return row, true
+// asGrid is the engine's view of normalized axes whose cells apply ovs.
+func (a HuntAxes) asGrid(ovs []machine.FieldOverride) *grid[HuntCell, HuntRow] {
+	return &grid[HuntCell, HuntRow]{
+		kind:        "hunt",
+		format:      huntCheckpointFormat,
+		covers:      "configs, programs, pairs, ops, secret length, seed, or -set overrides",
+		fingerprint: a.Fingerprint(),
+		axes:        a,
+		cells:       a.Cells(),
+		runCell:     func(c HuntCell) (HuntRow, error) { return runHuntCell(c, a, ovs) },
+		failed: func(c HuntCell, err string, attempts int, quarantined bool) HuntRow {
+			return HuntRow{HuntCell: c, Err: err, Attempts: attempts, Quarantined: quarantined}
+		},
 	}
-	if strings.Contains(s.Err, "context canceled") && len(s.Errs) == 1 {
-		return HuntRow{}, false
+}
+
+func (c HuntCell) cellIndex() int   { return c.Index }
+func (r HuntRow) rowCell() HuntCell { return r.HuntCell }
+func (r HuntRow) rowErr() string    { return r.Err }
+
+// The hunt checkpoint is the sweep checkpoint's append log with its own
+// format string and fingerprint: a hunt grid and a sweep grid are never
+// interchangeable, so resuming one from the other fails loudly at the
+// header, not at a row.
+
+// huntCheckpointFormat identifies the file layout; bump on changes.
+const huntCheckpointFormat = "metaleak-hunt-checkpoint/v1"
+
+// Fingerprint identifies the hunt grid for checkpoint and dispatch
+// compatibility: a hash of the expanded cell list (with every derived
+// seed, covering the base seed transitively), the program/secret
+// shapes, and the design-point overrides.
+func (a HuntAxes) Fingerprint() string {
+	a = a.normalized()
+	h := sha256.New()
+	fmt.Fprintf(h, "hunt/v1 seed=%d ops=%d secretlen=%d set=%q\n", a.Seed, a.Ops, a.SecretLen, a.Set)
+	for _, c := range a.Cells() {
+		fmt.Fprintf(h, "%d %s %d %d %d %d %d\n",
+			c.Index, c.Config, c.Program, c.Pair, c.ProgSeed, c.PairSeed, c.Seed)
 	}
-	row := HuntRow{HuntCell: c, Err: s.Err}
-	if retries > 0 {
-		row.Attempts = s.Attempts
-		row.Quarantined = true
-	}
-	return row, true
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// HuntCheckpoint is the durable record of a hunt in progress.
+type HuntCheckpoint = gridCheckpoint[HuntCell, HuntRow]
+
+// OpenHuntCheckpoint opens (or starts) the checkpoint for a hunt grid,
+// with the same salvage and refusal semantics as OpenCheckpoint.
+func OpenHuntCheckpoint(path string, axes HuntAxes) (*HuntCheckpoint, error) {
+	return openCheckpoint(path, axes.normalized().asGrid(nil))
 }

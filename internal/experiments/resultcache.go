@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"sync"
 )
 
@@ -19,9 +15,9 @@ import (
 // cache is keyed per cell, so *overlapping* grids — the same design
 // points swept again with more reps, or submitted by a different client
 // — reuse every cell they share and compute only the new ones. The file
-// layout deliberately mirrors the checkpoint: JSONL with a header line,
-// O(1) appends, and the crash signature confined to one torn trailing
-// line that load salvages away.
+// is the checkpoints' append log (appendlog.go) with its own format
+// string: a header line, O(1) appends, and the crash signature confined
+// to one torn trailing line that load salvages away.
 
 // cellCacheFormat identifies the cache file layout; bump on changes.
 const cellCacheFormat = "metaleak-cellcache/v1"
@@ -46,17 +42,18 @@ type cacheEntry struct {
 }
 
 // ResultCache is a content-addressed store of completed cell rows,
-// optionally persisted as JSONL. Only clean measurements are cached —
-// a failed cell may have failed transiently, and a later sweep deserves
-// its retry. Safe for concurrent use.
+// optionally persisted as an append log (appendlog.go). Only clean
+// measurements are cached — a failed cell may have failed transiently,
+// and a later sweep deserves its retry. Safe for concurrent use.
 //
 // With a byte cap (OpenResultCacheCap) the cache garbage-collects
 // itself: once its canonical footprint exceeds the cap, the oldest
 // entries are evicted first — an evicted cell simply recomputes on its
-// next request — and the file is compacted atomically (written to a
-// sibling temp file, then renamed over), so a crash at any point leaves
-// either the old complete file or the new complete file, never a mix.
+// next request — and the file is compacted by the log's atomic rewrite,
+// so a crash at any point leaves either the old complete file or the
+// new complete file, never a mix.
 type ResultCache struct {
+	*appendLog
 	mu        sync.Mutex
 	rows      map[string]SweepRow
 	order     []string         // insertion order, oldest first; eviction order
@@ -64,10 +61,6 @@ type ResultCache struct {
 	bytes     int64            // canonical footprint: header + all entry lines
 	maxBytes  int64            // GC threshold; 0 = unbounded
 	evictions int
-	path      string
-	f         *os.File // lazily opened append handle
-	discarded string   // torn trailing line salvaged away at open
-	err       error    // first persistence failure; appends stop after it
 }
 
 // OpenResultCache opens (or starts) a persisted result cache at path,
@@ -86,70 +79,21 @@ func OpenResultCache(path string) (*ResultCache, error) {
 // unbounded), the oldest entries are evicted until it fits and the file
 // is compacted. An inherited over-cap file is trimmed at open.
 func OpenResultCacheCap(path string, maxBytes int64) (*ResultCache, error) {
-	rc := &ResultCache{rows: map[string]SweepRow{}, sizes: map[string]int64{}, path: path, maxBytes: maxBytes}
-	hdrLine, err := json.Marshal(struct{ Format string }{cellCacheFormat})
-	if err != nil {
-		return nil, err
-	}
-	rc.bytes = int64(len(hdrLine)) + 1
-	if path == "" {
-		return rc, nil
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0) {
-		return rc, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("result cache %s: %w", path, err)
-	}
-
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// A single torn line: a crash before the header's append
-		// completed. Nothing salvageable, nothing lost — start fresh.
-		rc.discarded = string(data)
-		if err := os.Truncate(path, 0); err != nil {
-			return nil, fmt.Errorf("result cache %s: cutting torn header: %w", path, err)
-		}
-		return rc, nil
-	}
-	var hdr struct{ Format string }
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil || hdr.Format != cellCacheFormat {
-		return nil, fmt.Errorf("result cache %s: not a %s file", path, cellCacheFormat)
-	}
-
-	off := nl + 1
-	rest := data[off:]
-	for line := 2; len(rest) > 0; line++ {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			// Torn trailing line: the crash signature. Salvage everything
-			// before it and cut the tear off so appends resume cleanly.
-			rc.discarded = string(rest)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("result cache %s: cutting torn line: %w", path, err)
-			}
-			break
-		}
-		seg := rest[:idx]
-		off += idx + 1
-		rest = rest[idx+1:]
-		if len(bytes.TrimSpace(seg)) == 0 {
-			continue
-		}
+	rc := &ResultCache{rows: map[string]SweepRow{}, sizes: map[string]int64{}, maxBytes: maxBytes}
+	log, err := openAppendLog(path, "result cache", checkpointHeader{Format: cellCacheFormat}, nil, func(line []byte) error {
 		var e cacheEntry
-		if err := json.Unmarshal(seg, &e); err != nil {
-			return nil, fmt.Errorf("result cache %s: line %d: %w", path, line, err)
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
 		}
 		if len(e.Key) != sha256.Size*2 {
-			return nil, fmt.Errorf("result cache %s: line %d: malformed key %q", path, line, e.Key)
+			return fmt.Errorf("malformed key %q", e.Key)
 		}
 		if e.Row.Err != "" {
-			return nil, fmt.Errorf("result cache %s: line %d: cached row carries an error (%q) — only clean measurements belong here", path, line, e.Row.Err)
+			return fmt.Errorf("cached row carries an error (%q) — only clean measurements belong here", e.Row.Err)
 		}
 		canon, err := json.Marshal(e)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if old, ok := rc.sizes[e.Key]; ok {
 			// Duplicates allowed, last wins — and the later line is the
@@ -166,7 +110,13 @@ func OpenResultCacheCap(path string, maxBytes int64) (*ResultCache, error) {
 		rc.sizes[e.Key] = int64(len(canon)) + 1
 		rc.bytes += rc.sizes[e.Key]
 		rc.order = append(rc.order, e.Key)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	rc.appendLog = log
+	rc.bytes += int64(len(log.header))
 	// An inherited file over the cap trims immediately, so a restarted
 	// service with a lowered cap converges without waiting for traffic.
 	if err := rc.gcLocked(); err != nil {
@@ -190,7 +140,9 @@ func (rc *ResultCache) Get(key string) (SweepRow, bool) {
 // (a failure may be transient; never serve it from cache), as are keys
 // already present (re-running a cached grid must not grow the file).
 // Under a byte cap, an insert that pushes the footprint over it evicts
-// the oldest entries and compacts the file.
+// the oldest entries and compacts the file. The cache keeps serving
+// from memory after a persistence failure (Err) — persistence is an
+// optimization, not correctness.
 func (rc *ResultCache) Put(key string, row SweepRow) {
 	if row.Err != "" {
 		return
@@ -204,20 +156,16 @@ func (rc *ResultCache) Put(key string, row SweepRow) {
 	e := cacheEntry{Key: key, Row: row}
 	line, err := json.Marshal(e)
 	if err != nil {
-		if rc.err == nil {
-			rc.err = err
-		}
+		rc.fail(err)
 		return
 	}
 	rc.rows[key] = row
 	rc.sizes[key] = int64(len(line)) + 1
 	rc.bytes += rc.sizes[key]
 	rc.order = append(rc.order, key)
-	if rc.path != "" && rc.err == nil {
-		rc.err = rc.appendLocked(e)
-	}
-	if err := rc.gcLocked(); err != nil && rc.err == nil {
-		rc.err = err
+	rc.appendRecord(e)
+	if err := rc.gcLocked(); err != nil {
+		rc.fail(err)
 	}
 }
 
@@ -246,9 +194,10 @@ func (rc *ResultCache) Evictions() int {
 }
 
 // gcLocked evicts oldest-first until the footprint fits the cap, then
-// compacts the file. The newest entry always survives, even if it
-// alone exceeds the cap — evicting it would make the cache useless at
-// any cap smaller than one row.
+// compacts the file to exactly the surviving entries in age order. The
+// newest entry always survives, even if it alone exceeds the cap —
+// evicting it would make the cache useless at any cap smaller than one
+// row.
 func (rc *ResultCache) gcLocked() error {
 	if rc.maxBytes <= 0 || rc.bytes <= rc.maxBytes {
 		return nil
@@ -261,114 +210,9 @@ func (rc *ResultCache) gcLocked() error {
 		delete(rc.sizes, key)
 		rc.evictions++
 	}
-	if rc.path == "" || rc.err != nil {
-		return nil // memory-only, or persistence already failed
+	entries := make([]any, len(rc.order))
+	for i, key := range rc.order {
+		entries[i] = cacheEntry{Key: key, Row: rc.rows[key]}
 	}
-	return rc.compactLocked()
-}
-
-// compactLocked rewrites the file to exactly the surviving entries —
-// header plus one line per entry in age order — via a sibling temp file
-// renamed over the original. The rename is atomic, so a crash at any
-// point leaves either the old complete file or the new complete file;
-// either opens cleanly, the torn-line salvage never has to run on a
-// compaction.
-func (rc *ResultCache) compactLocked() error {
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(struct{ Format string }{cellCacheFormat})
-	if err != nil {
-		return err
-	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	for _, key := range rc.order {
-		line, err := json.Marshal(cacheEntry{Key: key, Row: rc.rows[key]})
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	tmp := rc.path + ".gc"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("result cache %s: compacting: %w", rc.path, err)
-	}
-	if rc.f != nil {
-		rc.f.Close()
-		rc.f = nil // next append reopens the compacted file
-	}
-	if err := os.Rename(tmp, rc.path); err != nil {
-		return fmt.Errorf("result cache %s: compacting: %w", rc.path, err)
-	}
-	rc.bytes = int64(buf.Len())
-	return nil
-}
-
-// Discarded returns the torn trailing line OpenResultCache salvaged
-// away, if any — callers surface it as a warning so the data loss
-// (exactly one re-computable cell) is visible, not silent.
-func (rc *ResultCache) Discarded() string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.discarded
-}
-
-// Err returns the first persistence failure, if any. The cache keeps
-// serving from memory after one — persistence is an optimization, not
-// correctness.
-func (rc *ResultCache) Err() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.err
-}
-
-// Close releases the append handle. The file needs no finalization —
-// every append left it complete.
-func (rc *ResultCache) Close() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.f == nil {
-		return nil
-	}
-	err := rc.f.Close()
-	rc.f = nil
-	return err
-}
-
-// appendLocked writes one entry line, opening the file (and writing the
-// header) on first use. Lines are single Write calls ending in '\n', so
-// the only state a crash can leave behind is a torn final line — the
-// exact shape OpenResultCache knows how to salvage.
-func (rc *ResultCache) appendLocked(e cacheEntry) error {
-	if rc.f == nil {
-		f, err := os.OpenFile(rc.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("result cache %s: %w", rc.path, err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("result cache %s: %w", rc.path, err)
-		}
-		if st.Size() == 0 {
-			hdr, err := json.Marshal(struct{ Format string }{cellCacheFormat})
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := f.Write(append(hdr, '\n')); err != nil {
-				f.Close()
-				return fmt.Errorf("result cache %s: %w", rc.path, err)
-			}
-		}
-		rc.f = f
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := rc.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("result cache %s: %w", rc.path, err)
-	}
-	return nil
+	return rc.rewrite(entries)
 }

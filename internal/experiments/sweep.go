@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"metaleak/internal/core"
 	"metaleak/internal/faults"
 	"metaleak/internal/machine"
-	"metaleak/internal/runner"
 	"metaleak/internal/stats"
 )
 
@@ -171,8 +169,15 @@ func (r SweepRow) LongRecords() [][]string {
 // buildTree both remap it to the 7-bit Table I default) and
 // non-positive metadata cache sizes (NewSystem remaps to 256 KiB).
 // Without this check the grid emits rows labeled as axis variation that
-// ran byte-identical machines.
+// ran byte-identical machines. Negative Seeds and Bits are rejected for
+// the same reason; zero selects the default.
 func (a SweepAxes) Validate() error {
+	if a.Seeds < 0 {
+		return fmt.Errorf("sweep: %d seeds would be silently normalized to 1; pass a positive count (0 selects the default)", a.Seeds)
+	}
+	if a.Bits < 0 {
+		return fmt.Errorf("sweep: bit budget %d would be silently normalized to the %d-bit default; pass a positive budget (0 selects the default)", a.Bits, DefaultSweepAxes().Bits)
+	}
 	for _, m := range a.MinorBits {
 		if m == 0 {
 			return fmt.Errorf("sweep: minor width 0 would be silently normalized to the 7-bit default; pass an explicit width in 1..16")
@@ -374,152 +379,47 @@ func SweepCheckpointed(ctx context.Context, axes SweepAxes, workers int, checkpo
 // pure function of the axes: policy decides whether a cell's row is a
 // measurement or a quarantine report, never what the measurement is.
 func SweepOpts(ctx context.Context, axes SweepAxes, opts SweepOptions) ([]SweepRow, error) {
-	prep, err := sweepPrep(axes, opts)
+	g, err := newSweepGrid(axes)
 	if err != nil {
 		return nil, err
 	}
-	axes, cells, cp, done := prep.axes, prep.cells, prep.cp, prep.done
-	ovs := prep.ovs
-	if cp != nil {
-		defer cp.Close()
-	}
-
-	pol := runner.Policy{
-		Workers: opts.Workers,
-		Timeout: opts.Timeout,
-		Retries: opts.Retries,
-		Backoff: opts.Backoff,
-	}
-	pending := prep.pending
-	trials := make([]runner.Trial, len(pending))
-	for ti, i := range pending {
-		c := cells[i]
-		// Harness faults target grid cell indices, not trial slots: the
-		// plan must hit the same cell whether or not a resume skipped
-		// earlier cells.
-		trials[ti] = opts.Faults.WrapTrial(c.Index, func() (any, error) {
-			return runSweepCell(c, axes.Bits, ovs)
-		})
-	}
-	var onDone func(int, any, error)
-	if cp != nil {
-		onDone = func(ti int, res any, err error) {
-			if row, ok := settledRow(cells[pending[ti]], res, err, pol); ok {
-				cp.Append(row)
-			}
-		}
-	}
-	parts, errs := runner.RunAllPolicy(ctx, trials, pol, onDone)
-
-	rows := make([]SweepRow, 0, len(cells))
-	interrupted := false
-	ti := 0
-	for i := range cells {
-		if row, ok := done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
-		row, ok := settledRow(cells[i], parts[ti], errs[ti], pol)
-		ti++
-		if !ok {
-			interrupted = true
-			continue
-		}
-		rows = append(rows, row)
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return rows, err
-		}
-	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
+	return g.runPool(ctx, opts)
 }
 
-// sweepPrep is the shared prologue of the single-process and
-// distributed sweep paths: normalize and validate the axes, parse and
-// vet the design-point overrides, expand the grid, and open the
-// checkpoint (loading already-completed rows). Callers own closing
-// prep.cp when non-nil.
-type sweepPrelude struct {
-	axes    SweepAxes
-	ovs     []machine.FieldOverride
-	cells   []SweepCell
-	cp      *Checkpoint
-	done    map[int]SweepRow
-	pending []int // grid indices still to run, ascending
-}
-
-func sweepPrep(axes SweepAxes, opts SweepOptions) (*sweepPrelude, error) {
-	axes = axes.normalized()
+// newSweepGrid validates and normalizes the axes, parses and vets the
+// design-point overrides, and expands the grid — the shared prologue of
+// every sweep path, in-process, coordinator and worker.
+func newSweepGrid(axes SweepAxes) (*grid[SweepCell, SweepRow], error) {
 	if err := axes.Validate(); err != nil {
 		return nil, err
 	}
-	ovs, err := machine.ParseOverrides(axes.Set)
+	axes = axes.normalized()
+	ovs, err := parseSet("sweep", axes.Set)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
+		return nil, err
 	}
-	// Vet the overrides against a scratch design point up front, so a
-	// field typo fails the sweep once instead of failing every cell.
-	scratch := machine.ConfigSCT()
-	if err := machine.ApplyOverrides(&scratch, ovs); err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	prep := &sweepPrelude{axes: axes, ovs: ovs, cells: axes.Cells(), done: map[int]SweepRow{}}
-
-	if opts.Checkpoint != "" {
-		cp, err := OpenCheckpoint(opts.Checkpoint, axes)
-		if err != nil {
-			return nil, err
-		}
-		prep.cp = cp
-		if opts.Faults != nil {
-			cp.SetTamperer(opts.Faults.AfterAppend)
-		}
-		if d := cp.Discarded(); d != "" && opts.Log != nil {
-			opts.Log("checkpoint %s: discarded torn trailing line (%d bytes, crash mid-append); its cell will re-run", opts.Checkpoint, len(d))
-		}
-		prep.done = cp.Completed()
-	}
-	for i := range prep.cells {
-		if _, ok := prep.done[i]; !ok {
-			prep.pending = append(prep.pending, i)
-		}
-	}
-	return prep, nil
+	return axes.asGrid(ovs), nil
 }
 
-// settledRow converts one trial outcome into a row. Cells skipped by
-// cancellation report ok=false — they produced no result and must not
-// be recorded as failures (the pre-fix bug: ctx.Err() at collection
-// time discarded every completed row and disguised genuine failures).
-// Under a retry policy a failed cell's row is marked quarantined and
-// carries its attempt count; recovered cells (failed attempts followed
-// by a success) stay indistinguishable from clean ones — the retry is
-// execution machinery, not measurement.
-func settledRow(c SweepCell, res any, err error, pol runner.Policy) (SweepRow, bool) {
-	switch {
-	case err == nil:
-		return res.(SweepRow), true
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return SweepRow{}, false
-	default:
-		// Strip the runner's "trial N:" prefix: trial indices depend on
-		// how many cells a resume skipped, and the row must not.
-		row := SweepRow{SweepCell: c, Err: err.Error()}
-		var te *runner.TrialError
-		if errors.As(err, &te) {
-			row.Err = te.Err.Error()
-			if pol.Retries > 0 {
-				row.Attempts = te.Attempts
-				row.Quarantined = true
-			}
-		}
-		return row, true
+// asGrid is the engine's view of normalized axes whose cells apply ovs.
+func (a SweepAxes) asGrid(ovs []machine.FieldOverride) *grid[SweepCell, SweepRow] {
+	return &grid[SweepCell, SweepRow]{
+		kind:        "sweep",
+		format:      checkpointFormat,
+		covers:      "configs, widths, sizes, noise, seeds, bits, or -set overrides",
+		fingerprint: a.Fingerprint(),
+		axes:        a,
+		cells:       a.Cells(),
+		runCell:     func(c SweepCell) (SweepRow, error) { return runSweepCell(c, a.Bits, ovs) },
+		failed: func(c SweepCell, err string, attempts int, quarantined bool) SweepRow {
+			return SweepRow{SweepCell: c, Err: err, Attempts: attempts, Quarantined: quarantined}
+		},
 	}
 }
+
+func (c SweepCell) cellIndex() int    { return c.Index }
+func (r SweepRow) rowCell() SweepCell { return r.SweepCell }
+func (r SweepRow) rowErr() string     { return r.Err }
 
 // SweepPoint aggregates one grid point's replications.
 type SweepPoint struct {
