@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"metaleak/internal/bench"
 	"metaleak/internal/experiments"
 )
 
@@ -133,66 +134,23 @@ func BenchmarkAblationTrees(b *testing.B) { runExperiment(b, "abltree") }
 func BenchmarkAblationMetaCache(b *testing.B) { runExperiment(b, "ablmeta") }
 
 // ---------------------------------------------------------------------------
-// Substrate microbenchmarks: the cost drivers behind the experiments.
+// Substrate microbenchmarks: the cost drivers behind the experiments. The
+// bodies live in internal/bench, which also records them in BENCH_<N>.json.
 // ---------------------------------------------------------------------------
 
 // BenchmarkSecureRead measures one full secure-memory read (path 2).
-func BenchmarkSecureRead(b *testing.B) {
-	sys := NewSystem(ConfigSCT())
-	p := sys.AllocPage(0)
-	blk := p.Block(0)
-	sys.Read(0, blk)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Flush(0, blk)
-		sys.Read(0, blk)
-	}
-}
+func BenchmarkSecureRead(b *testing.B) { bench.SecureRead(b) }
 
 // BenchmarkSecureWrite measures one write-through (counter increment +
 // encrypt + MAC).
-func BenchmarkSecureWrite(b *testing.B) {
-	sys := NewSystem(ConfigSCT())
-	p := sys.AllocPage(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.WriteThrough(0, p.Block(i%64), [64]byte{byte(i)})
-	}
-}
+func BenchmarkSecureWrite(b *testing.B) { bench.SecureWrite(b) }
 
 // BenchmarkMEvictReloadRound measures one Monitor round (the Fig. 12 L0
 // interval in host time).
-func BenchmarkMEvictReloadRound(b *testing.B) {
-	sys := NewSystem(ConfigSCT())
-	a := NewAttacker(sys, 0, false)
-	vic := sys.AllocPage(1)
-	m, err := a.NewMonitor(vic, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Calibrate(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Evict()
-		m.Reload()
-	}
-}
+func BenchmarkMEvictReloadRound(b *testing.B) { bench.MEvictReloadRound(b) }
 
 // BenchmarkCounterBump measures one MetaLeak-C bump.
-func BenchmarkCounterBump(b *testing.B) {
-	dp := ConfigSCT()
-	dp.FastCrypto = true
-	sys := NewSystem(dp)
-	a := NewAttacker(sys, 0, false)
-	cm, err := a.NewCounterMonitor(PageID(1<<12), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm.Bump()
-	}
-}
+func BenchmarkCounterBump(b *testing.B) { bench.CounterBump(b) }
 
 // BenchmarkAblationSecureOverhead compares secure designs to the
 // unprotected baseline.

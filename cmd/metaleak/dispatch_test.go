@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// TestMain intercepts the worker re-execution `sweep -workers N`
-// performs: sweepDistributed spawns os.Executable() — in tests, this
-// test binary — with METALEAK_WORKER=1 and `worker -connect ADDR`
-// args. The intercept turns that re-execution into a real metaleak
-// worker process, so the distributed CLI tests exercise the genuine
-// multi-process path: separate address spaces, the wire protocol, and
-// the unix-socket rendezvous.
+// TestMain intercepts the worker re-execution `sweep -workers N` and
+// `hunt -workers N` perform: runWithFleet spawns os.Executable() — in
+// tests, this test binary — with METALEAK_WORKER=1 and
+// `worker -connect ADDR` args. The intercept turns that re-execution
+// into a real metaleak worker process, so the distributed CLI tests
+// exercise the genuine multi-process path: separate address spaces,
+// the wire protocol, and the unix-socket rendezvous.
 func TestMain(m *testing.M) {
 	if os.Getenv("METALEAK_WORKER") == "1" && len(os.Args) > 1 && os.Args[1] == "worker" {
 		if err := run(context.Background(), os.Args[1:]); err != nil {

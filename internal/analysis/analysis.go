@@ -79,6 +79,7 @@ var All = []*Analyzer{
 	UncheckedErr,
 	SeedPlumbing,
 	SecretFlow,
+	DeadCode,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -200,5 +201,30 @@ func TestRelativizeDotDotSegment(t *testing.T) {
 	}
 	if res.Inventory[0].Chain[1].File != outside {
 		t.Errorf("outside chain path must stay absolute: %q", res.Inventory[0].Chain[1].File)
+	}
+}
+
+// TestDeadcodeStaleAllow pins the stale scan for deadcode: an allow
+// directive on a function something reaches suppresses nothing and is
+// warned about, while the one on a test-only reference model is used.
+func TestDeadcodeStaleAllow(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := NewLoader(Config{Dir: root, Module: fixtureModule(t, root)}).Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Run(pkgs, []*Analyzer{DeadCode})
+	res.Relativize(root)
+	if len(res.Stale) != 1 {
+		t.Fatalf("want exactly 1 stale directive, got %v", res.Stale)
+	}
+	if d := res.Stale[0]; d.File != "internal/lib/lib.go" || !strings.Contains(d.Message, "stale //metalint:allow deadcode") {
+		t.Errorf("stale warning = %v, want the allow deadcode above Stale in internal/lib/lib.go", d)
+	}
+	if res.Suppressed != 1 {
+		t.Errorf("suppressed %d findings, want 1 (Reference)", res.Suppressed)
 	}
 }

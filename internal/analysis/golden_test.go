@@ -22,7 +22,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loader := NewLoader(Config{Dir: root, IncludeTests: true})
+			loader := NewLoader(Config{Dir: root, Module: fixtureModule(t, root), IncludeTests: true})
 			pkgs, err := loader.Load("./...")
 			if err != nil {
 				t.Fatalf("load: %v", err)
@@ -62,6 +62,27 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fixtureModule returns the module path a fixture's go.mod declares,
+// or "" for a GOPATH-style fixture without one (import paths are then
+// directory paths). A fixture needs a module for a root package.
+func fixtureModule(t *testing.T, root string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if os.IsNotExist(err) {
+		return ""
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if mod, ok := strings.CutPrefix(line, "module "); ok {
+			return strings.TrimSpace(mod)
+		}
+	}
+	t.Fatalf("%s/go.mod declares no module", root)
+	return ""
 }
 
 // TestRegistry pins the analyzer set: names must be unique (they key

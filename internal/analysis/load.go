@@ -32,8 +32,11 @@ type Config struct {
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Path  string // import path
-	Dir   string
+	Path string // import path
+	Dir  string
+	// Root is set on the package at the load root: the module's root
+	// package, whose exported API is the facade.
+	Root  bool
 	Name  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -74,9 +77,6 @@ func NewLoader(cfg Config) *Loader {
 		pkgs: make(map[string]*loadEntry),
 	}
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Load resolves the patterns ("./...", "./internal/sim", "internal/sim")
 // and returns the matched packages sorted by import path. Directories
@@ -328,6 +328,7 @@ func (l *Loader) parseAndCheck(dir, path string) (*Package, error) {
 	pkg := &Package{
 		Path:  path,
 		Dir:   dir,
+		Root:  filepath.Clean(dir) == filepath.Clean(l.cfg.Dir),
 		Name:  pkgName,
 		Fset:  l.fset,
 		Files: files,

@@ -103,13 +103,6 @@ type funcInfo struct {
 	mutParams []symval // summary: taint written through each parameter
 }
 
-func (f *funcInfo) pos() token.Pos {
-	if f.decl != nil {
-		return f.decl.Pos()
-	}
-	return f.lit.Pos()
-}
-
 // seedInfo is one secret source established by a //metalint:secret
 // directive.
 type seedInfo struct {

@@ -87,15 +87,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependent(t *testing.T) {
-	r := NewRNG(9)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forks correlated")
-	}
-}
-
 func TestRNGIntnPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -59,7 +59,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns a pseudo-random boolean with probability p of being true.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Fork derives an independent generator from this one, useful for giving
-// each subsystem its own stream without correlated draws.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

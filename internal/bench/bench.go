@@ -4,10 +4,10 @@
 // across commits: a >10% ns/op regression on any microbenchmark fails the
 // gate, so hot-path performance is a tested property rather than folklore.
 //
-// The benchmark bodies mirror the root package's bench_test.go substrate
-// benchmarks (BenchmarkSecureRead and friends) — they measure host time of
-// the simulator's hot loop, not simulated cycles, so they are explicitly
-// outside the determinism contract. All timing goes through
+// The substrate benchmark bodies live here once; the root package's
+// bench_test.go wraps them (BenchmarkSecureRead and friends). They
+// measure host time of the simulator's hot loop, not simulated cycles,
+// so they are explicitly outside the determinism contract. All timing goes through
 // testing.Benchmark; this package never reads the host clock itself.
 package bench
 
@@ -18,9 +18,10 @@ import (
 	"sort"
 	"testing"
 
-	"metaleak"
 	"metaleak/internal/arch"
+	"metaleak/internal/core"
 	"metaleak/internal/experiments"
+	"metaleak/internal/machine"
 )
 
 // Schema identifies the record layout; bump on incompatible change.
@@ -85,65 +86,77 @@ func SeedBaseline() *Baseline {
 	}
 }
 
-// benchmarks lists the substrate microbenchmarks, mirroring the root
-// package's bench_test.go bodies.
-func benchmarks() []struct {
+// The substrate microbenchmark bodies. They are the only copy: the root
+// package's BenchmarkSecureRead and friends call them, and Run measures
+// them for the record.
+
+// SecureRead measures one full secure-memory read (path 2).
+func SecureRead(b *testing.B) {
+	sys := machine.NewSystem(machine.ConfigSCT())
+	p := sys.AllocPage(0)
+	blk := p.Block(0)
+	sys.Read(0, blk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Flush(0, blk)
+		sys.Read(0, blk)
+	}
+}
+
+// SecureWrite measures one write-through (counter increment + encrypt +
+// MAC).
+func SecureWrite(b *testing.B) {
+	sys := machine.NewSystem(machine.ConfigSCT())
+	p := sys.AllocPage(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.WriteThrough(0, p.Block(i%64), [64]byte{byte(i)})
+	}
+}
+
+// MEvictReloadRound measures one Monitor round (the Fig. 12 L0 interval
+// in host time).
+func MEvictReloadRound(b *testing.B) {
+	sys := machine.NewSystem(machine.ConfigSCT())
+	a := core.NewAttacker(sys.System, sys.Ctrl, 0, false)
+	vic := sys.AllocPage(1)
+	m, err := a.NewMonitor(vic, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Calibrate(5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Evict()
+		m.Reload()
+	}
+}
+
+// CounterBump measures one MetaLeak-C bump.
+func CounterBump(b *testing.B) {
+	dp := machine.ConfigSCT()
+	dp.FastCrypto = true
+	sys := machine.NewSystem(dp)
+	a := core.NewAttacker(sys.System, sys.Ctrl, 0, false)
+	cm, err := a.NewCounterMonitor(arch.PageID(1<<12), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cm.Bump()
+	}
+}
+
+// substrate names the microbenchmarks in the record.
+var substrate = []struct {
 	Name string
 	Body func(b *testing.B)
-} {
-	return []struct {
-		Name string
-		Body func(b *testing.B)
-	}{
-		{"SecureRead", func(b *testing.B) {
-			sys := metaleak.NewSystem(metaleak.ConfigSCT())
-			p := sys.AllocPage(0)
-			blk := p.Block(0)
-			sys.Read(0, blk)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Flush(0, blk)
-				sys.Read(0, blk)
-			}
-		}},
-		{"SecureWrite", func(b *testing.B) {
-			sys := metaleak.NewSystem(metaleak.ConfigSCT())
-			p := sys.AllocPage(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.WriteThrough(0, p.Block(i%64), [64]byte{byte(i)})
-			}
-		}},
-		{"MEvictReloadRound", func(b *testing.B) {
-			sys := metaleak.NewSystem(metaleak.ConfigSCT())
-			a := metaleak.NewAttacker(sys, 0, false)
-			vic := sys.AllocPage(1)
-			m, err := a.NewMonitor(vic, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Calibrate(5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Evict()
-				m.Reload()
-			}
-		}},
-		{"CounterBump", func(b *testing.B) {
-			dp := metaleak.ConfigSCT()
-			dp.FastCrypto = true
-			sys := metaleak.NewSystem(dp)
-			a := metaleak.NewAttacker(sys, 0, false)
-			cm, err := a.NewCounterMonitor(metaleak.PageID(1<<12), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cm.Bump()
-			}
-		}},
-	}
+}{
+	{"SecureRead", SecureRead},
+	{"SecureWrite", SecureWrite},
+	{"MEvictReloadRound", MEvictReloadRound},
+	{"CounterBump", CounterBump},
 }
 
 // sweepAxes is the fixed grid the throughput measurement runs: one design
@@ -179,7 +192,7 @@ func Run() (Record, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]Measurement{},
 	}
-	for _, bm := range benchmarks() {
+	for _, bm := range substrate {
 		res := testing.Benchmark(bm.Body)
 		if res.N == 0 {
 			return rec, fmt.Errorf("bench: %s did not run (benchmark body failed)", bm.Name)

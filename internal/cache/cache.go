@@ -119,8 +119,9 @@ func (c *Cache) find(b arch.BlockID) (int, int) {
 }
 
 // Contains reports whether the block is present without updating
-// replacement state. It exists for the simulator's introspection and for
-// tests; real accesses go through Access/Insert.
+// replacement state: the tests' probe of which level holds a block.
+//
+//metalint:allow deadcode residency probe for TestExclusiveHierarchySingleCopy and TestEvictionSetEvictsTarget
 func (c *Cache) Contains(b arch.BlockID) bool {
 	_, wi := c.find(b)
 	return wi >= 0
@@ -201,44 +202,4 @@ func (c *Cache) Invalidate(b arch.BlockID) (wasPresent, wasDirty bool) {
 	dirty := c.sets[si][wi].dirty
 	c.sets[si][wi] = line{}
 	return true, dirty
-}
-
-// FlushAll invalidates every line, invoking fn (if non-nil) for each dirty
-// line before it is dropped so the caller can write it back.
-func (c *Cache) FlushAll(fn func(arch.BlockID)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := c.sets[si][wi]
-			if l.valid && l.dirty && fn != nil {
-				fn(l.block)
-			}
-			c.sets[si][wi] = line{}
-		}
-	}
-}
-
-// Occupancy returns the number of valid lines in the set that the given
-// block maps to — used by tests and by eviction-set construction.
-func (c *Cache) Occupancy(b arch.BlockID) int {
-	si := c.SetIndex(b)
-	n := 0
-	for _, l := range c.sets[si] {
-		if l.valid {
-			n++
-		}
-	}
-	return n
-}
-
-// BlocksInSet returns the valid blocks currently resident in the set that
-// the given block maps to, in way order. Diagnostic use only.
-func (c *Cache) BlocksInSet(b arch.BlockID) []arch.BlockID {
-	si := c.SetIndex(b)
-	var out []arch.BlockID
-	for _, l := range c.sets[si] {
-		if l.valid {
-			out = append(out, l.block)
-		}
-	}
-	return out
 }

@@ -81,15 +81,6 @@ func ParseComponent(s string) (Component, error) {
 		s, strings.Join(componentNames[:], ", "))
 }
 
-// Components lists every component in declaration order.
-func Components() []Component {
-	out := make([]Component, numComponents)
-	for i := range out {
-		out[i] = Component(i)
-	}
-	return out
-}
-
 // Mask is a set of components.
 type Mask uint16
 

@@ -180,6 +180,74 @@ func TestDiffObs(t *testing.T) {
 	}
 }
 
+func TestDiffObsIdentical(t *testing.T) {
+	obs := sampleObs(40)
+	d := DiffObs(obs, obs)
+	if d.Diverged() || d.First != -1 || d.Mask != 0 || d.Count != 0 {
+		t.Fatalf("identical streams diverged: %+v", d)
+	}
+	if d.LenA != 40 || d.LenB != 40 {
+		t.Fatalf("lengths: %+v", d)
+	}
+}
+
+// TestDiffObsFirstAndFields checks that later divergences widen the
+// union and the count, never First.
+func TestDiffObsFirstAndFields(t *testing.T) {
+	a := sampleObs(10)
+	b := sampleObs(10)
+	b[3].Lat++
+	b[3].Path++
+	b[7].Overflow = !b[7].Overflow
+	d := DiffObs(a, b)
+	if !d.Diverged() {
+		t.Fatal("divergence missed")
+	}
+	if d.First != 3 || d.FirstMask != Mask(0).With(CompLatency, CompPath) {
+		t.Fatalf("first divergence: %+v (components %s)", d, d.FirstMask)
+	}
+	if d.Mask != Mask(0).With(CompLatency, CompPath, CompOverflow) {
+		t.Fatalf("component union: %s", d.Mask)
+	}
+	if d.Count != 2 {
+		t.Fatalf("count: %d", d.Count)
+	}
+}
+
+// TestDiffObsLengthOnly checks that a pure length divergence counts no
+// position.
+func TestDiffObsLengthOnly(t *testing.T) {
+	a := sampleObs(10)
+	d := DiffObs(a, a[:6])
+	count := Mask(0).With(CompCount)
+	if !d.Diverged() || d.Mask != count || d.First != 6 || d.FirstMask != count {
+		t.Fatalf("truncated stream: %+v (components %s)", d, d.Mask)
+	}
+	if d.Count != 0 {
+		t.Fatalf("count over common prefix: %d", d.Count)
+	}
+}
+
+func TestDiffObsEmpty(t *testing.T) {
+	if d := DiffObs(nil, nil); d.Diverged() || d.First != -1 {
+		t.Fatalf("empty vs empty: %+v", d)
+	}
+	if d := DiffObs(sampleObs(1), nil); !d.Diverged() || d.Mask != Mask(0).With(CompCount) || d.First != 0 {
+		t.Fatalf("one vs empty: %+v", d)
+	}
+}
+
+// TestMaskStringOrder checks that a mask renders in declaration order
+// whatever order its components were added in.
+func TestMaskStringOrder(t *testing.T) {
+	if s := Mask(0).With(CompLatency, CompSet).String(); s != "set+lat" {
+		t.Fatalf("mask render: %q", s)
+	}
+	if s := Mask(0).With(CompCount, CompTime, CompLatency, CompOverflow, CompTree, CompPath, CompBank, CompSet).String(); s != "set+bank+path+tree+ovf+lat+time+count" {
+		t.Fatalf("full mask render: %q", s)
+	}
+}
+
 // TestCheckRealTrace runs a real machine and validates its trace, then
 // corrupts events every way the checker knows and expects a failure
 // for each.

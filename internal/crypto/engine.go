@@ -34,11 +34,6 @@ type Config struct {
 	Fast        bool        // replace AES/GHASH with fast keyed mixers (for very long benches)
 }
 
-// DefaultConfig returns the Table I crypto engine (20-cycle AES).
-func DefaultConfig() Config {
-	return Config{AESLatency: 20, HashLatency: 20}
-}
-
 // Engine is the security engine. Not safe for concurrent use.
 type Engine struct {
 	cfg Config
@@ -149,13 +144,6 @@ func (e *Engine) Encrypt(plain Block, b arch.BlockID, ctr uint64) Block {
 // Decrypt inverts Encrypt.
 func (e *Engine) Decrypt(ct Block, b arch.BlockID, ctr uint64) Block {
 	return e.Encrypt(ct, b, ctr)
-}
-
-// MAC computes the 64-bit authentication tag over the ciphertext block,
-// its address, and its counter: MAC_k(C, ctr, addr_b) as in the BMT design
-// of Rogers et al. that the paper's HT configuration follows.
-func (e *Engine) MAC(ct Block, b arch.BlockID, ctr uint64) uint64 {
-	return e.MACOf(&ct, b, ctr)
 }
 
 // MACOf is MAC without the 64-byte argument copy — the form the memory

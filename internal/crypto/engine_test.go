@@ -49,16 +49,16 @@ func TestMACBindsAll(t *testing.T) {
 	e := eng()
 	var ct Block
 	ct[5] = 9
-	base := e.MAC(ct, 10, 3)
+	base := e.MACOf(&ct, 10, 3)
 	ct2 := ct
 	ct2[5] ^= 1
-	if e.MAC(ct2, 10, 3) == base {
+	if e.MACOf(&ct2, 10, 3) == base {
 		t.Fatal("MAC ignores ciphertext")
 	}
-	if e.MAC(ct, 11, 3) == base {
+	if e.MACOf(&ct, 11, 3) == base {
 		t.Fatal("MAC ignores address (splicing undetected)")
 	}
-	if e.MAC(ct, 10, 4) == base {
+	if e.MACOf(&ct, 10, 4) == base {
 		t.Fatal("MAC ignores counter (replay undetected)")
 	}
 }
@@ -91,7 +91,7 @@ func TestFastModePreservesProperties(t *testing.T) {
 	if e.Decrypt(ct, 5, 9) != p {
 		t.Fatal("fast mode round trip failed")
 	}
-	if e.MAC(ct, 5, 9) == e.MAC(ct, 5, 10) {
+	if e.MACOf(&ct, 5, 9) == e.MACOf(&ct, 5, 10) {
 		t.Fatal("fast MAC ignores counter")
 	}
 }
@@ -120,7 +120,7 @@ func TestQuickMACUniqueness(t *testing.T) {
 	e := eng()
 	seen := make(map[uint64]bool)
 	f := func(ct Block, addr uint16, c uint8) bool {
-		m := e.MAC(ct, arch.BlockID(addr), uint64(c))
+		m := e.MACOf(&ct, arch.BlockID(addr), uint64(c))
 		if seen[m] {
 			return false
 		}
@@ -202,7 +202,7 @@ func TestMACDistinguishesTopBitCounters(t *testing.T) {
 		f := func(ct Block, addr uint16, c uint64) bool {
 			lo := c &^ (1 << 63)
 			hi := lo | 1<<63
-			return e.MAC(ct, arch.BlockID(addr), lo) != e.MAC(ct, arch.BlockID(addr), hi)
+			return e.MACOf(&ct, arch.BlockID(addr), lo) != e.MACOf(&ct, arch.BlockID(addr), hi)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Fatalf("Fast=%v: %v", e.cfg.Fast, err)
@@ -219,4 +219,9 @@ func TestBadMACKeyPanics(t *testing.T) {
 	// A short MACKey used to silently partial-copy over the derived
 	// subkey; it must be rejected like a short AES key.
 	New(Config{MACKey: []byte("short")})
+}
+
+// DefaultConfig returns the Table I crypto engine (20-cycle AES).
+func DefaultConfig() Config {
+	return Config{AESLatency: 20, HashLatency: 20}
 }

@@ -105,6 +105,8 @@ func (g *ghash) sum() uint64 { return g.y[0] ^ g.y[1] }
 // classic shift-and-conditionally-reduce bit-serial multiply. It is the
 // reference the table method is tested against; production paths use
 // ghashTable.mul.
+//
+//metalint:allow deadcode reference model for TestGhashTableMatchesBitSerial
 func gfMul(x, y [2]uint64) [2]uint64 {
 	var z [2]uint64
 	v := y

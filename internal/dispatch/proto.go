@@ -245,32 +245,6 @@ func EncodeFrame(f Frame) ([]byte, error) {
 	return append(out, body...), nil
 }
 
-// DecodeFrame decodes one frame from the head of data and returns it
-// with the number of bytes consumed. Every malformed input — truncated
-// prefix or body, oversized or zero length, a body that is not one
-// newline-terminated JSON document, an unknown type, a type/payload
-// mismatch — returns a *WireError; the decoder never panics.
-func DecodeFrame(data []byte) (Frame, int, error) {
-	if len(data) < 4 {
-		return Frame{}, 0, &WireError{Offset: 0, Reason: fmt.Sprintf("truncated length prefix (%d of 4 bytes)", len(data))}
-	}
-	n := binary.BigEndian.Uint32(data)
-	if n == 0 {
-		return Frame{}, 0, &WireError{Offset: 0, Reason: "zero-length frame"}
-	}
-	if n > MaxFrame {
-		return Frame{}, 0, &WireError{Offset: 0, Reason: fmt.Sprintf("frame length %d exceeds the %d limit", n, MaxFrame)}
-	}
-	if uint32(len(data)-4) < n {
-		return Frame{}, 0, &WireError{Offset: 4, Reason: fmt.Sprintf("truncated frame body (%d of %d bytes)", len(data)-4, n)}
-	}
-	f, err := decodeBody(data[4 : 4+n])
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	return f, 4 + int(n), nil
-}
-
 // decodeBody parses and validates one frame body (offsets in the
 // returned WireError are body-relative plus the 4-byte prefix).
 func decodeBody(body []byte) (Frame, error) {

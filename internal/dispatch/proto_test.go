@@ -30,13 +30,29 @@ func sampleFrames() []Frame {
 	}
 }
 
+// readFrame runs ReadFrame over data, as a peer reads its connection,
+// and returns the frame with the number of bytes it consumed.
+func readFrame(data []byte) (Frame, int, error) {
+	rd := bytes.NewReader(data)
+	br := bufio.NewReader(rd)
+	f, err := ReadFrame(br)
+	return f, len(data) - rd.Len() - br.Buffered(), err
+}
+
+// isTransportEOF reports whether err is how ReadFrame surfaces a stream
+// that ends early: io.EOF before the first byte, io.ErrUnexpectedEOF
+// inside a frame.
+func isTransportEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range sampleFrames() {
 		data, err := EncodeFrame(f)
 		if err != nil {
 			t.Fatalf("encode %q: %v", f.Type, err)
 		}
-		got, n, err := DecodeFrame(data)
+		got, n, err := readFrame(data)
 		if err != nil {
 			t.Fatalf("decode %q: %v", f.Type, err)
 		}
@@ -107,9 +123,10 @@ func TestFrameValidate(t *testing.T) {
 	}
 }
 
-// TestDecodeMalformed: every malformed input is a structured *WireError,
-// never a panic, and transport-level truncation is reported with its
-// offset.
+// TestDecodeMalformed: every malformed input is a structured *WireError
+// naming its reason, never a panic; a stream cut short is a transport
+// error (io.EOF or io.ErrUnexpectedEOF), ReadFrame's contract for a
+// dead peer.
 func TestDecodeMalformed(t *testing.T) {
 	wire := func(body string) []byte {
 		out := make([]byte, 4, 4+len(body))
@@ -121,15 +138,15 @@ func TestDecodeMalformed(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"empty", nil, "truncated length prefix"},
-		{"short prefix", []byte{0, 0}, "truncated length prefix"},
+		{"empty", nil, ""},
+		{"short prefix", []byte{0, 0}, ""},
 		{"zero length", wire(""), "zero-length frame"},
 		{"oversize", func() []byte {
 			d := wire("x")
 			binary.BigEndian.PutUint32(d, MaxFrame+1)
 			return d
 		}(), "exceeds"},
-		{"truncated body", wire("{\"Type\":\"want\"}\n")[:10], "truncated frame body"},
+		{"truncated body", wire("{\"Type\":\"want\"}\n")[:10], ""},
 		{"no newline", wire(`{"Type":"want"}`), "not newline-terminated"},
 		{"embedded newline", wire("{\"Type\":\n\"want\"}\n"), "embedded newline"},
 		{"not json", wire("want me\n"), "not valid JSON"},
@@ -137,7 +154,13 @@ func TestDecodeMalformed(t *testing.T) {
 		{"contract violation", wire("{\"Type\":\"lease\"}\n"), "must carry exactly"},
 	}
 	for _, tc := range cases {
-		_, _, err := DecodeFrame(tc.data)
+		_, _, err := readFrame(tc.data)
+		if tc.want == "" {
+			if !isTransportEOF(err) {
+				t.Errorf("%s: err = %v, want io.EOF or io.ErrUnexpectedEOF", tc.name, err)
+			}
+			continue
+		}
 		var we *WireError
 		if !errors.As(err, &we) {
 			t.Errorf("%s: err = %v, want *WireError", tc.name, err)
@@ -150,9 +173,10 @@ func TestDecodeMalformed(t *testing.T) {
 }
 
 // FuzzProtocolRoundTrip mirrors FuzzTraceRoundTrip for the dispatcher
-// wire codec: any input either decodes into a frame whose re-encoding
-// is stable (encode∘decode is idempotent after the first pass), or
-// fails with a structured *WireError — never a panic.
+// wire codec, read through ReadFrame as every peer reads it: any input
+// either decodes into a frame whose re-encoding is stable
+// (encode∘decode is idempotent after the first pass), or fails with a
+// structured *WireError or, cut short, a transport EOF — never a panic.
 func FuzzProtocolRoundTrip(f *testing.F) {
 	// Seed corpus: every frame type in wire form, junk, and truncation
 	// cuts at the interesting boundaries (mid-prefix, mid-body, one byte
@@ -173,10 +197,10 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, '\n'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeFrame(data)
+		fr, n, err := readFrame(data)
 		if err != nil {
 			var we *WireError
-			if !errors.As(err, &we) {
+			if !errors.As(err, &we) && !isTransportEOF(err) {
 				t.Fatalf("malformed input returned unstructured error %T: %v", err, err)
 			}
 			return // malformed input is fine, panicking is not
@@ -188,7 +212,7 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded frame failed: %v", err)
 		}
-		d2, n2, err := DecodeFrame(e1)
+		d2, n2, err := readFrame(e1)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}

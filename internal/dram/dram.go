@@ -225,26 +225,10 @@ func (d *DRAM) drain(now arch.Cycles, n int) arch.Cycles {
 	return now // the issuing side does not stall for the drain itself
 }
 
-// FlushWrites forces the entire write queue into the banks (the effect the
-// attacker achieves with redundant writes in §VI-B). It returns when the
-// last write completes.
-func (d *DRAM) FlushWrites(now arch.Cycles) arch.Cycles {
-	end := now
-	for _, w := range d.wq {
-		done := d.access(now, w.block, d.cfg.WriteLat)
-		if done > end {
-			end = done
-		}
-		delete(d.wqSet, w.block)
-	}
-	d.wq = d.wq[:0]
-	return end
-}
-
-// PendingWrites returns the current write queue depth.
-func (d *DRAM) PendingWrites() int { return len(d.wq) }
-
-// BankBusyUntil exposes a bank's busy horizon (diagnostics and tests).
+// BankBusyUntil exposes a bank's busy horizon: what the run-form
+// differential test compares against its per-block reference.
+//
+//metalint:allow deadcode probe for TestBackgroundRunMatchesPerBlock and TestOverflowPathGolden
 func (d *DRAM) BankBusyUntil(bankIdx int) arch.Cycles { return d.banks[bankIdx].busyUntil }
 
 func (d *DRAM) maybeRefresh(now arch.Cycles) arch.Cycles {

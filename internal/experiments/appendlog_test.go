@@ -37,7 +37,7 @@ func logKinds() []logKind {
 			}, nil
 		}},
 		{"hunt-checkpoint", huntCheckpointFormat, func(path string) (*appendLog, int, func(int), error) {
-			cp, err := OpenHuntCheckpoint(path, hunt)
+			cp, err := openCheckpoint(path, hunt.normalized().asGrid(nil))
 			if err != nil {
 				return nil, 0, nil, err
 			}
@@ -220,7 +220,7 @@ func TestLogFormatGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := copyGolden("hunt-checkpoint-v1.jsonl")
-		cp, err := OpenHuntCheckpoint(path, axes)
+		cp, err := openCheckpoint(path, axes.normalized().asGrid(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

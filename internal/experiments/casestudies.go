@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"metaleak/internal/machine"
 	"metaleak/internal/mpi"
 	"metaleak/internal/reconstruct"
+	"metaleak/internal/runner"
 	"metaleak/internal/victim"
 )
 
@@ -48,10 +48,6 @@ func jpegAttackT(sys *machine.System, kind jpeg.SyntheticKind, size int) (rec []
 	return rec, tr, im, recovered, oracle, nil
 }
 
-// Fig15 reproduces the libjpeg image-reconstruction case study with
-// MetaLeak-T on the SCT design.
-func Fig15(o Options) (*Result, error) { return SpecFig15(o).Run(context.Background(), 1) }
-
 // fig15Partial is one image's attack outcome.
 type fig15Partial struct {
 	row   []string
@@ -59,47 +55,45 @@ type fig15Partial struct {
 	notes []string
 }
 
-// SpecFig15 declares Fig15 as one trial per victim image, each mounting
-// the attack on its own machine.
+// SpecFig15 reproduces the libjpeg image-reconstruction case study with
+// MetaLeak-T on the SCT design.
+// It runs as one trial per victim image, each mounting the attack on
+// its own machine.
 func SpecFig15(o Options) *Spec {
 	o = o.withDefaults()
 	kinds := []jpeg.SyntheticKind{jpeg.PatternCircle, jpeg.PatternStripes, jpeg.PatternText}
-	trials := make([]Trial, len(kinds))
+	trials := make([]runner.Trial, len(kinds))
 	for i, kind := range kinds {
 		i, kind := i, kind
-		trials[i] = Trial{
-			Name: fmt.Sprintf("fig15/%s", kind),
-			Run: func() (any, error) {
-				dp := machine.ConfigSCT()
-				dp.Seed = o.Seed + 15 + uint64(i)
-				dp.NoiseInterval = 30000
-				dp.NoisePages = 1024
-				sys := machine.NewSystem(dp)
-				rec, tr, original, recovered, oracle, err := jpegAttackT(sys, kind, o.ImageSize)
-				if err != nil {
-					return nil, err
+		trials[i] = func() (any, error) {
+			dp := machine.ConfigSCT()
+			dp.Seed = o.Seed + 15 + uint64(i)
+			dp.NoiseInterval = 30000
+			dp.NoisePages = 1024
+			sys := machine.NewSystem(dp)
+			rec, tr, original, recovered, oracle, err := jpegAttackT(sys, kind, o.ImageSize)
+			if err != nil {
+				return nil, err
+			}
+			acc := reconstruct.TraceAccuracy(rec, tr.NonZero)
+			p := &fig15Partial{
+				row: []string{
+					string(kind), fmt.Sprintf("%d", len(tr.NonZero)), pct(acc),
+					pct(reconstruct.PixelSimilarity(recovered, oracle)),
+				},
+				acc: acc,
+			}
+			if kind == jpeg.PatternText {
+				p.notes = []string{
+					"original image:", original.ASCII(o.ImageSize),
+					"attacker reconstruction:", recovered.ASCII(o.ImageSize),
 				}
-				acc := reconstruct.TraceAccuracy(rec, tr.NonZero)
-				p := &fig15Partial{
-					row: []string{
-						string(kind), fmt.Sprintf("%d", len(tr.NonZero)), pct(acc),
-						pct(reconstruct.PixelSimilarity(recovered, oracle)),
-					},
-					acc: acc,
-				}
-				if kind == jpeg.PatternText {
-					p.notes = []string{
-						"original image:", original.ASCII(o.ImageSize),
-						"attacker reconstruction:", recovered.ASCII(o.ImageSize),
-					}
-				}
-				return p, nil
-			},
+			}
+			return p, nil
 		}
 	}
 	return &Spec{
 		ID:     "fig15",
-		Title:  "Image reconstruction from libjpeg with MetaLeak-T (SCT)",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -121,16 +115,12 @@ func SpecFig15(o Options) *Spec {
 	}
 }
 
-// Fig15C reproduces the §VIII-A2 variant: recovering the zero-elements of
+// SpecFig15C reproduces the §VIII-A2 variant: recovering the zero-elements of
 // the entropy blocks by observing victim writes to r with
 // mPreset+mOverflow on a shared tree minor at the 2nd level.
-func Fig15C(o Options) (*Result, error) { return SpecFig15C(o).Run(context.Background(), 1) }
-
-// SpecFig15C declares Fig15C: one victim encode under one counter
-// monitor, one trial.
+// One victim encode under one counter monitor, one trial.
 func SpecFig15C(o Options) *Spec {
-	return single("fig15c", "Zero-coefficient recovery from libjpeg writes with MetaLeak-C (SCT, tree L2 minor)",
-		func() (*Result, error) { return fig15C(o) })
+	return single("fig15c", func() (*Result, error) { return fig15C(o) })
 }
 
 func fig15C(o Options) (*Result, error) {
@@ -246,10 +236,6 @@ func rsaAttackTraced(sys *machine.System, level, expBits int, seed uint64, stepS
 	return reconstruct.AlignedAccuracy(bits, want), len(ops), trace, nil
 }
 
-// Fig16 reproduces the libgcrypt RSA exponent recovery on the SGX
-// calibration (integrity tree L1 sharing) and the simulated SCT design.
-func Fig16(o Options) (*Result, error) { return SpecFig16(o).Run(context.Background(), 1) }
-
 // fig16Partial is one configuration's recovery outcome.
 type fig16Partial struct {
 	row   []string
@@ -257,15 +243,16 @@ type fig16Partial struct {
 	acc   float64
 }
 
-// SpecFig16 declares Fig16 as two independent trials: the SGX enclave
-// attack and the simulated-SCT attack each drive their own machine.
+// SpecFig16 reproduces the libgcrypt RSA exponent recovery on the SGX
+// calibration (integrity tree L1 sharing) and the simulated SCT design.
+// It runs as two independent trials: the SGX enclave attack and the
+// simulated-SCT attack each drive their own machine.
 func SpecFig16(o Options) *Spec {
 	o = o.withDefaults()
 	return &Spec{
-		ID:    "fig16",
-		Title: "RSA square-and-multiply exponent recovery (libgcrypt pattern)",
-		Trials: []Trial{
-			{Name: "fig16/sgx", Run: func() (any, error) {
+		ID: "fig16",
+		Trials: []runner.Trial{
+			func() (any, error) {
 				sgx := machine.ConfigSGX()
 				sgx.Seed = o.Seed + 16
 				sgx.NoiseInterval = 15000
@@ -282,8 +269,8 @@ func SpecFig16(o Options) *Spec {
 					notes: []string{"mEvict+mReload observations (first steps, SGX): " + strings.Join(trace, " ")},
 					acc:   acc,
 				}, nil
-			}},
-			{Name: "fig16/sct", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				sct := machine.ConfigSCT()
 				sct.Seed = o.Seed + 162
 				sct.NoiseInterval = 30000
@@ -296,7 +283,7 @@ func SpecFig16(o Options) *Spec {
 					row: []string{"SCT", "L0", fmt.Sprintf("%d", n), pct(acc)},
 					acc: acc,
 				}, nil
-			}},
+			},
 		},
 		Merge: func(parts []any) (*Result, error) {
 			sgx, sct := parts[0].(*fig16Partial), parts[1].(*fig16Partial)
@@ -314,15 +301,11 @@ func SpecFig16(o Options) *Spec {
 	}
 }
 
-// Fig17 reproduces the mbedTLS private-key-loading attack: recovering the
+// SpecFig17 reproduces the mbedTLS private-key-loading attack: recovering the
 // shift/sub operation trace of the modular inversion in SGX.
-func Fig17(o Options) (*Result, error) { return SpecFig17(o).Run(context.Background(), 1) }
-
-// SpecFig17 declares Fig17: one key load under one dual monitor, one
-// trial.
+// One key load under one dual monitor, one trial.
 func SpecFig17(o Options) *Spec {
-	return single("fig17", "mbedTLS key-loading shift/sub trace recovery (SGX, tree L1)",
-		func() (*Result, error) { return fig17(o) })
+	return single("fig17", func() (*Result, error) { return fig17(o) })
 }
 
 func fig17(o Options) (*Result, error) {

@@ -59,7 +59,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			if err := cp.Err(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := SweepCheckpointed(context.Background(), axes, workers, path)
+			got, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: workers, Checkpoint: path})
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: %v", workers, k, err)
 			}
@@ -68,7 +68,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			}
 			// The persisted file itself must round-trip: a second resume
 			// runs nothing and still reproduces the grid.
-			again, err := SweepCheckpointed(context.Background(), axes, workers, path)
+			again, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: workers, Checkpoint: path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestResumeReRunsFailedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.Append(want[1]) // only the failed row is checkpointed
-	got, err := SweepCheckpointed(context.Background(), axes, 2, path)
+	got, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestResumeReRunsFailedCells(t *testing.T) {
 func TestCheckpointFingerprintMismatchFailsLoudly(t *testing.T) {
 	axes := tinyAxes()
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	if _, err := SweepCheckpointed(context.Background(), axes, 2, path); err != nil {
+	if _, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2, Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 	other := tinyAxes()
 	other.Seed++
-	_, err := SweepCheckpointed(context.Background(), other, 2, path)
+	_, err := SweepOpts(context.Background(), other, SweepOptions{Workers: 2, Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("mismatched checkpoint accepted: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestCheckpointSalvagesTornTrailingLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := SweepCheckpointed(context.Background(), axes, 2, path)
+	got, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCheckpointTornHeaderStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SweepCheckpointed(context.Background(), axes, 2, path)
+	got, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestCancelledSweepReportsCompletedRows(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := SweepCheckpointed(ctx, axes, 2, path)
+	rows, err := SweepOpts(ctx, axes, SweepOptions{Workers: 2, Checkpoint: path})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"metaleak/internal/arch"
 	"metaleak/internal/core"
 	"metaleak/internal/machine"
+	"metaleak/internal/runner"
 )
 
 // attackerPair builds a trojan/spy pair on cores 0 and 1.
@@ -16,11 +16,6 @@ func attackerPair(sys *machine.System) (*core.Attacker, *core.Attacker) {
 	return trojan, spy
 }
 
-// Fig11 runs the MetaLeak-T covert channel on the SCT design and the SGX
-// (SIT) calibration, transmitting o.Bits random bits under background
-// noise, and reports bit accuracy plus a latency-trace snippet.
-func Fig11(o Options) (*Result, error) { return SpecFig11(o).Run(context.Background(), 1) }
-
 // fig11Partial is one configuration's transmission outcome.
 type fig11Partial struct {
 	row          []string
@@ -29,10 +24,12 @@ type fig11Partial struct {
 	bitsSent     int
 }
 
-// SpecFig11 declares Fig11 as four independent trials — SCT, HT,
-// cross-socket SCT, and the SGX calibration each transmit on their own
-// machine — merged into the figure's accuracy table plus the SCT trace
-// snippet.
+// SpecFig11 runs the MetaLeak-T covert channel on the SCT design and the
+// SGX (SIT) calibration, transmitting o.Bits random bits under
+// background noise, and reports bit accuracy plus a latency-trace
+// snippet. It runs as four independent trials — SCT, HT, cross-socket
+// SCT, and the SGX calibration each transmit on their own machine —
+// merged into the figure's accuracy table plus the SCT trace snippet.
 func SpecFig11(o Options) *Spec {
 	o = o.withDefaults()
 	run := func(dp machine.DesignPoint, level int, noise arch.Cycles, seed uint64) (any, error) {
@@ -66,23 +63,22 @@ func SpecFig11(o Options) *Spec {
 	xs.Name = "SCT x-socket"
 	xs.SocketOf = []int{0, 1, 0, 0}
 	return &Spec{
-		ID:    "fig11",
-		Title: "MetaLeak-T covert channel accuracy and latency trace",
-		Trials: []Trial{
-			{Name: "fig11/sct", Run: func() (any, error) {
+		ID: "fig11",
+		Trials: []runner.Trial{
+			func() (any, error) {
 				return run(machine.ConfigSCT(), 0, 30000, o.Seed+11)
-			}},
+			},
 			// The hash-tree design leaks identically (§V: "similar latency
 			// distributions in a simulated HT-based design").
-			{Name: "fig11/ht", Run: func() (any, error) {
+			func() (any, error) {
 				return run(machine.ConfigHT(), 0, 30000, o.Seed+1113)
-			}},
-			{Name: "fig11/xsocket", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				return run(xs, 0, 30000, o.Seed+1112)
-			}},
-			{Name: "fig11/sgx", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				return run(machine.ConfigSGX(), 1, 9000, o.Seed+1111)
-			}},
+			},
 		},
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -113,16 +109,13 @@ func SpecFig11(o Options) *Spec {
 	}
 }
 
-// Fig12 sweeps the exploited tree node level, measuring the
+// SpecFig12 sweeps the exploited tree node level, measuring the
 // mEvict+mReload interval (temporal resolution) and the node's spatial
-// coverage, which grows exponentially with level.
-func Fig12(o Options) (*Result, error) { return SpecFig12(o).Run(context.Background(), 1) }
-
-// SpecFig12 declares Fig12: the per-level monitors share one machine's
-// metadata cache history, so it stays one trial.
+// coverage, which grows exponentially with level. The per-level
+// monitors share one machine's metadata cache history, so it stays one
+// trial.
 func SpecFig12(o Options) *Spec {
-	return single("fig12", "mEvict+mReload interval and coverage vs. exploited tree level (SCT)",
-		func() (*Result, error) { return fig12(o) })
+	return single("fig12", func() (*Result, error) { return fig12(o) })
 }
 
 func fig12(o Options) (*Result, error) {
@@ -179,15 +172,12 @@ func byteSize(n int) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// Fig14 runs the MetaLeak-C covert channel: 7-bit symbols encoded in the
-// number of writes modulating a shared tree minor counter.
-func Fig14(o Options) (*Result, error) { return SpecFig14(o).Run(context.Background(), 1) }
-
-// SpecFig14 declares Fig14: one shared minor counter carries the whole
-// transmission, so it stays one trial.
+// SpecFig14 runs the MetaLeak-C covert channel: 7-bit symbols encoded in
+// the number of writes modulating a shared tree minor counter. One
+// shared minor counter carries the whole transmission, so it stays one
+// trial.
 func SpecFig14(o Options) *Spec {
-	return single("fig14", "MetaLeak-C covert channel: 7-bit symbols via counter modulation",
-		func() (*Result, error) { return fig14(o) })
+	return single("fig14", func() (*Result, error) { return fig14(o) })
 }
 
 func fig14(o Options) (*Result, error) {

@@ -1,62 +1,56 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"metaleak/internal/arch"
 	"metaleak/internal/core"
 	"metaleak/internal/machine"
 	"metaleak/internal/mirage"
+	"metaleak/internal/runner"
 	"metaleak/internal/stats"
 )
-
-// Fig18 reproduces the §IX-B defence study: the probability that a target
-// metadata block is evicted from a MIRAGE-organized metadata cache after N
-// random block accesses. Randomized caches stop eviction-set construction
-// but not eviction itself, so MetaLeak-T's mEvict still succeeds — it just
-// needs enough traffic.
-func Fig18(o Options) (*Result, error) { return SpecFig18(o).Run(context.Background(), 1) }
 
 // fig18Points are the random-access counts of the sweep's x axis.
 var fig18Points = []int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000, 12000}
 
-// SpecFig18 declares Fig18 as one trial per (access-count, repetition)
-// pair — each builds its own MIRAGE cache from a seed derived from the
-// pair alone, so the partial counters fold per point in any completion
-// order. This is the most parallel experiment in the registry.
+// SpecFig18 reproduces the §IX-B defence study: the probability that a target
+// metadata block is evicted from a MIRAGE-organized metadata cache after N
+// random block accesses. Randomized caches stop eviction-set construction
+// but not eviction itself, so MetaLeak-T's mEvict still succeeds — it just
+// needs enough traffic.
+// It runs as one trial per (access-count, repetition) pair — each
+// builds its own MIRAGE cache from a seed derived from the pair alone,
+// so the partial counters fold per point in any completion order. This
+// is the most parallel experiment in the registry.
 func SpecFig18(o Options) *Spec {
 	o = o.withDefaults()
-	var trials []Trial
+	var trials []runner.Trial
 	for _, n := range fig18Points {
 		for trial := 0; trial < o.Trials; trial++ {
 			n, trial := n, trial
-			trials = append(trials, Trial{
-				Name: fmt.Sprintf("fig18/n%d/t%d", n, trial),
-				Run: func() (any, error) {
-					cfg := mirage.DefaultConfig()
-					cfg.Seed = o.Seed + uint64(n)*131 + uint64(trial)
-					c := mirage.New(cfg)
-					// Warm to steady state, install the target, then hammer
-					// with distinct random blocks.
-					for i := 0; i < 2*cfg.DataBlocks; i++ {
-						c.Access(arch.BlockID(i))
-					}
-					target := arch.BlockID(1 << 40)
-					c.Access(target)
-					for i := 0; i < n; i++ {
-						c.Access(arch.BlockID(1<<20 + n*100000 + i))
-					}
-					var ctr stats.Counter
-					ctr.Observe(!c.Contains(target))
-					return ctr, nil
-				},
+			trials = append(trials, func() (any, error) {
+				cfg := mirage.DefaultConfig()
+				cfg.Seed = o.Seed + uint64(n)*131 + uint64(trial)
+				c := mirage.New(cfg)
+				// Warm to steady state, install the target, then hammer
+				// with distinct random blocks.
+				for i := 0; i < 2*cfg.DataBlocks; i++ {
+					c.Access(arch.BlockID(i))
+				}
+				target := arch.BlockID(1 << 40)
+				c.Access(target)
+				for i := 0; i < n; i++ {
+					c.Access(arch.BlockID(1<<20 + n*100000 + i))
+				}
+				var ctr stats.Counter
+				ctr.Observe(!c.Contains(target))
+				return ctr, nil
 			})
 		}
 	}
 	return &Spec{
 		ID:     "fig18",
-		Title:  "Eviction accuracy vs. random accesses under MIRAGE (2-skew, 8+6 ways)",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -83,16 +77,12 @@ func SpecFig18(o Options) *Spec {
 	}
 }
 
-// AblationCounters quantifies VUL-1 across the §IV-A counter schemes:
+// SpecAblationCounters quantifies VUL-1 across the §IV-A counter schemes:
 // the counter-sharing group size and the cost of an overflowing write
 // relative to a normal one. Counter widths are shrunk so overflows are
 // reachable; the *ratios* are the design-space signal.
-func AblationCounters(o Options) (*Result, error) {
-	return SpecAblationCounters(o).Run(context.Background(), 1)
-}
-
-// SpecAblationCounters declares the counter-scheme ablation as one trial
-// per scheme, each driving its own machine to an overflow.
+// It runs as one trial per scheme, each driving its own machine to an
+// overflow.
 func SpecAblationCounters(o Options) *Spec {
 	o = o.withDefaults()
 	run := func(dp machine.DesignPoint, touch int) (any, error) {
@@ -107,7 +97,7 @@ func SpecAblationCounters(o Options) *Spec {
 			sys.Flush(0, p.Block(0))
 		}
 		target := sys.AllocPage(0).Block(0)
-		var normal, overflow sample
+		var normal, overflow stats.Sample
 		groupSize := 0
 		for i := 0; i < 600 && len(overflow) < 3; i++ {
 			res := sys.WriteThrough(0, target, [arch.BlockSize]byte{byte(i)})
@@ -130,9 +120,9 @@ func SpecAblationCounters(o Options) *Spec {
 		return []string{
 			dp.Name,
 			fmt.Sprintf("%d blocks", groupSize),
-			cyc(normal.mean()),
-			cyc(overflow.mean()),
-			fmt.Sprintf("%.1fx (read after: %d)", overflow.mean()/normal.mean(), probeDelay),
+			cyc(normal.Mean()),
+			cyc(overflow.Mean()),
+			fmt.Sprintf("%.1fx (read after: %d)", overflow.Mean()/normal.Mean(), probeDelay),
 		}, nil
 	}
 	gc := machine.ConfigSCT()
@@ -145,17 +135,13 @@ func SpecAblationCounters(o Options) *Spec {
 		dp    machine.DesignPoint
 		touch int
 	}{{gc, 48}, {moc, 48}, {sc, 8}}
-	trials := make([]Trial, len(schemes))
+	trials := make([]runner.Trial, len(schemes))
 	for i, cfg := range schemes {
 		cfg := cfg
-		trials[i] = Trial{
-			Name: "ablctr/" + cfg.dp.Name,
-			Run:  func() (any, error) { return run(cfg.dp, cfg.touch) },
-		}
+		trials[i] = func() (any, error) { return run(cfg.dp, cfg.touch) }
 	}
 	return &Spec{
 		ID:     "ablctr",
-		Title:  "Ablation: counter schemes — overflow group and write-latency blowup",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -173,64 +159,56 @@ func SpecAblationCounters(o Options) *Spec {
 	}
 }
 
-// AblationTrees contrasts the integrity tree designs: verification
+// SpecAblationTrees contrasts the integrity tree designs: verification
 // latency of the cold path and, crucially, whether tree-counter overflow
 // (the MetaLeak-C channel) exists at all.
-func AblationTrees(o Options) (*Result, error) {
-	return SpecAblationTrees(o).Run(context.Background(), 1)
-}
-
-// SpecAblationTrees declares the tree ablation as one trial per design.
+// It runs as one trial per design.
 func SpecAblationTrees(o Options) *Spec {
 	o = o.withDefaults()
 	bases := []machine.DesignPoint{machine.ConfigSCT(), machine.ConfigHT(), machine.ConfigSGX()}
-	trials := make([]Trial, len(bases))
+	trials := make([]runner.Trial, len(bases))
 	for i, base := range bases {
 		base := base
-		trials[i] = Trial{
-			Name: "abltree/" + base.Name,
-			Run: func() (any, error) {
-				dp := base
-				dp.Seed = o.Seed + 91
-				dp.SecurePages = 1 << 14
-				dp.MetaKB = 16 // tiny metadata cache: force write-back churn
-				dp.FastCrypto = true
-				sys := machine.NewSystem(dp)
-				var cold sample
-				for i := 0; i < 64; i++ {
-					p := sys.AllocPage(0)
-					_, res := sys.Read(0, p.Block(0))
-					cold = append(cold, res.Latency)
+		trials[i] = func() (any, error) {
+			dp := base
+			dp.Seed = o.Seed + 91
+			dp.SecurePages = 1 << 14
+			dp.MetaKB = 16 // tiny metadata cache: force write-back churn
+			dp.FastCrypto = true
+			sys := machine.NewSystem(dp)
+			var cold stats.Sample
+			for i := 0; i < 64; i++ {
+				p := sys.AllocPage(0)
+				_, res := sys.Read(0, p.Block(0))
+				cold = append(cold, res.Latency)
+			}
+			// Saturating write pressure: pages whose counter blocks collide in
+			// one metadata cache set, so every write cycles a counter block out
+			// (a write-back) and tree version counters advance.
+			sets := sys.Ctrl.Meta().Config().Sets()
+			var pages []arch.PageID
+			for f := arch.PageID(0); len(pages) < 24 && int(f) < sys.SecurePages(); f += arch.PageID(sets) {
+				if sys.Owner(f) != -1 {
+					continue
 				}
-				// Saturating write pressure: pages whose counter blocks collide in
-				// one metadata cache set, so every write cycles a counter block out
-				// (a write-back) and tree version counters advance.
-				sets := sys.Ctrl.Meta().Config().Sets()
-				var pages []arch.PageID
-				for f := arch.PageID(0); len(pages) < 24 && int(f) < sys.SecurePages(); f += arch.PageID(sets) {
-					if sys.Owner(f) != -1 {
-						continue
-					}
-					if err := sys.AllocFrame(0, f); err == nil {
-						pages = append(pages, f)
-					}
+				if err := sys.AllocFrame(0, f); err == nil {
+					pages = append(pages, f)
 				}
-				for i := 0; i < 7000; i++ {
-					p := pages[i%len(pages)]
-					sys.WriteThrough(0, p.Block((i/len(pages))%arch.BlocksPerPage), [arch.BlockSize]byte{byte(i)})
-				}
-				ov := sys.Ctrl.Stats().TreeOverflows
-				viable := "no"
-				if ov > 0 {
-					viable = "yes"
-				}
-				return []string{dp.Name, cyc(cold.mean()), fmt.Sprintf("%d", ov), viable}, nil
-			},
+			}
+			for i := 0; i < 7000; i++ {
+				p := pages[i%len(pages)]
+				sys.WriteThrough(0, p.Block((i/len(pages))%arch.BlocksPerPage), [arch.BlockSize]byte{byte(i)})
+			}
+			ov := sys.Ctrl.Stats().TreeOverflows
+			viable := "no"
+			if ov > 0 {
+				viable = "yes"
+			}
+			return []string{dp.Name, cyc(cold.Mean()), fmt.Sprintf("%d", ov), viable}, nil
 		}
 	}
 	return &Spec{
 		ID:     "abltree",
-		Title:  "Ablation: integrity trees — cold-path latency and overflow channel",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -248,60 +226,34 @@ func SpecAblationTrees(o Options) *Spec {
 	}
 }
 
-// AblationMetaCache sweeps the metadata cache size: larger caches slow
+// SpecAblationMetaCache sweeps the metadata cache size: larger caches slow
 // the mEvict step (bigger eviction sets are unnecessary — sets stay 8-way
 // — but hit rates rise) while the channel persists at every size.
-func AblationMetaCache(o Options) (*Result, error) {
-	return SpecAblationMetaCache(o).Run(context.Background(), 1)
-}
-
-// SpecAblationMetaCache declares the cache-size sweep as one trial per
-// size.
+// It runs as one trial per size.
 func SpecAblationMetaCache(o Options) *Spec {
 	o = o.withDefaults()
 	sizes := []int{64, 128, 256, 512}
-	trials := make([]Trial, len(sizes))
+	trials := make([]runner.Trial, len(sizes))
 	for i, kb := range sizes {
 		kb := kb
-		trials[i] = Trial{
-			Name: fmt.Sprintf("ablmeta/%dk", kb),
-			Run: func() (any, error) {
-				dp := machine.ConfigSCT()
-				dp.Seed = o.Seed + 92 + uint64(kb)
-				dp.MetaKB = kb
-				sys := machine.NewSystem(dp)
-				attacker := coreAttacker(sys)
-				vicPage := sys.AllocPage(1)
-				m, err := attacker.NewMonitor(vicPage, 0)
-				if err != nil {
-					return nil, err
-				}
-				m.Calibrate(8)
-				correct, rounds := 0, 40
-				start := sys.Now()
-				for i := 0; i < rounds; i++ {
-					m.Evict()
-					want := i%2 == 0
-					if want {
-						sys.Flush(1, vicPage.Block(0))
-						sys.Touch(1, vicPage.Block(0))
-					}
-					got, _ := m.Reload()
-					if got == want {
-						correct++
-					}
-				}
-				interval := float64(sys.Now()-start) / float64(rounds)
-				return []string{
-					fmt.Sprintf("%dKiB", kb), cyc(interval),
-					pct(float64(correct) / float64(rounds)),
-				}, nil
-			},
+		trials[i] = func() (any, error) {
+			dp := machine.ConfigSCT()
+			dp.Seed = o.Seed + 92 + uint64(kb)
+			dp.MetaKB = kb
+			sys := machine.NewSystem(dp)
+			attacker := coreAttacker(sys)
+			vicPage := sys.AllocPage(1)
+			m, err := attacker.NewMonitor(vicPage, 0)
+			if err != nil {
+				return nil, err
+			}
+			m.Calibrate(8)
+			acc, interval := scoreRounds(sys, vicPage, 40, m.Evict, m.Reload)
+			return []string{fmt.Sprintf("%dKiB", kb), cyc(interval), pct(acc)}, nil
 		}
 	}
 	return &Spec{
 		ID:     "ablmeta",
-		Title:  "Ablation: metadata cache size vs. mEvict+mReload round and accuracy",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -319,52 +271,43 @@ func SpecAblationMetaCache(o Options) *Spec {
 	}
 }
 
-// AblationMinorWidth sweeps the split-counter minor width — the Table I
+// SpecAblationMinorWidth sweeps the split-counter minor width — the Table I
 // design chooses 7 bits, trading counter storage against overflow
 // frequency. The sweep shows both sides of VUL-1: narrower minors
 // overflow more often (more observable events), wider minors raise the
 // attacker's mPreset cost exponentially.
-func AblationMinorWidth(o Options) (*Result, error) {
-	return SpecAblationMinorWidth(o).Run(context.Background(), 1)
-}
-
-// SpecAblationMinorWidth declares the minor-width sweep as one trial per
-// width.
+// It runs as one trial per width.
 func SpecAblationMinorWidth(o Options) *Spec {
 	o = o.withDefaults()
 	widths := []uint{5, 6, 7, 8}
-	trials := make([]Trial, len(widths))
+	trials := make([]runner.Trial, len(widths))
 	for i, bits := range widths {
 		bits := bits
-		trials[i] = Trial{
-			Name: fmt.Sprintf("ablminor/%db", bits),
-			Run: func() (any, error) {
-				dp := machine.ConfigSCT()
-				dp.Seed = o.Seed + 97 + uint64(bits)
-				dp.SecurePages = 1 << 14
-				dp.MinorBits = bits
-				dp.FastCrypto = true
-				sys := machine.NewSystem(dp)
-				p := sys.AllocPage(0)
-				b := p.Block(0)
-				overflows := 0
-				for i := 0; i < 2000; i++ {
-					if res := sys.WriteThrough(0, b, [arch.BlockSize]byte{byte(i)}); res.Report.Overflow {
-						overflows++
-					}
+		trials[i] = func() (any, error) {
+			dp := machine.ConfigSCT()
+			dp.Seed = o.Seed + 97 + uint64(bits)
+			dp.SecurePages = 1 << 14
+			dp.MinorBits = bits
+			dp.FastCrypto = true
+			sys := machine.NewSystem(dp)
+			p := sys.AllocPage(0)
+			b := p.Block(0)
+			overflows := 0
+			for i := 0; i < 2000; i++ {
+				if res := sys.WriteThrough(0, b, [arch.BlockSize]byte{byte(i)}); res.Report.Overflow {
+					overflows++
 				}
-				return []string{
-					fmt.Sprintf("%d", bits),
-					fmt.Sprintf("%d", 1<<bits),
-					fmt.Sprintf("%d", overflows),
-					fmt.Sprintf("%d", 1<<bits-2),
-				}, nil
-			},
+			}
+			return []string{
+				fmt.Sprintf("%d", bits),
+				fmt.Sprintf("%d", 1<<bits),
+				fmt.Sprintf("%d", overflows),
+				fmt.Sprintf("%d", 1<<bits-2),
+			}, nil
 		}
 	}
 	return &Spec{
 		ID:     "ablminor",
-		Title:  "Ablation: SC/SCT minor counter width vs. overflow behaviour",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -382,80 +325,58 @@ func SpecAblationMinorWidth(o Options) *Spec {
 	}
 }
 
-// AblationNoise sweeps the background-traffic intensity against both
+// SpecAblationNoise sweeps the background-traffic intensity against both
 // MetaLeak-T shapes. A notable structural finding: the single-node
 // side-channel monitor is essentially noise-immune (the reload follows
 // the victim access within a handful of cycles, and the watched node sits
 // at MRU whenever it matters), while the covert channel — whose windows
 // span two signals and two reloads plus a trained threshold — degrades
 // smoothly, which is where the paper's sub-100% accuracies come from.
-func AblationNoise(o Options) (*Result, error) {
-	return SpecAblationNoise(o).Run(context.Background(), 1)
-}
-
-// SpecAblationNoise declares the noise sweep as one trial per traffic
-// intensity.
+// It runs as one trial per traffic intensity.
 func SpecAblationNoise(o Options) *Spec {
 	o = o.withDefaults()
 	intervals := []arch.Cycles{0, 30000, 8000, 2000, 800}
-	trials := make([]Trial, len(intervals))
+	trials := make([]runner.Trial, len(intervals))
 	for i, interval := range intervals {
 		interval := interval
-		trials[i] = Trial{
-			Name: fmt.Sprintf("ablnoise/%d", interval),
-			Run: func() (any, error) {
-				dp := machine.ConfigSCT()
-				dp.Seed = o.Seed + 99
-				dp.SecurePages = 1 << 16
-				dp.NoiseInterval = interval
-				dp.NoisePages = 1024
-				sys := machine.NewSystem(dp)
-				victimPage := sys.AllocPage(1)
-				attacker := core.NewAttacker(sys.System, sys.Ctrl, 0, false)
-				m, err := attacker.NewMonitor(victimPage, 0)
-				if err != nil {
-					return nil, err
-				}
-				m.Calibrate(10)
-				correct, rounds := 0, 100
-				for i := 0; i < rounds; i++ {
-					m.Evict()
-					want := i%2 == 0
-					if want {
-						sys.Flush(1, victimPage.Block(0))
-						sys.Touch(1, victimPage.Block(0))
-					}
-					got, _ := m.Reload()
-					if got == want {
-						correct++
-					}
-				}
-				monAcc := float64(correct) / float64(rounds)
+		trials[i] = func() (any, error) {
+			dp := machine.ConfigSCT()
+			dp.Seed = o.Seed + 99
+			dp.SecurePages = 1 << 16
+			dp.NoiseInterval = interval
+			dp.NoisePages = 1024
+			sys := machine.NewSystem(dp)
+			victimPage := sys.AllocPage(1)
+			attacker := core.NewAttacker(sys.System, sys.Ctrl, 0, false)
+			m, err := attacker.NewMonitor(victimPage, 0)
+			if err != nil {
+				return nil, err
+			}
+			m.Calibrate(10)
+			monAcc, _ := scoreRounds(sys, victimPage, 100, m.Evict, m.Reload)
 
-				trojan := core.NewAttacker(sys.System, sys.Ctrl, 2, false)
-				spy := core.NewAttacker(sys.System, sys.Ctrl, 1, false)
-				ch, err := core.NewCovertT(trojan, spy, 0)
-				if err != nil {
-					return nil, err
-				}
-				rng := arch.NewRNG(o.Seed ^ uint64(interval) ^ 0xab)
-				bits := 4 * o.Bits // error rates are sub-percent; sample enough
-				for i := 0; i < bits; i++ {
-					ch.SendBit(rng.Bool(0.5))
-				}
+			trojan := core.NewAttacker(sys.System, sys.Ctrl, 2, false)
+			spy := core.NewAttacker(sys.System, sys.Ctrl, 1, false)
+			ch, err := core.NewCovertT(trojan, spy, 0)
+			if err != nil {
+				return nil, err
+			}
+			rng := arch.NewRNG(o.Seed ^ uint64(interval) ^ 0xab)
+			bits := 4 * o.Bits // error rates are sub-percent; sample enough
+			for i := 0; i < bits; i++ {
+				ch.SendBit(rng.Bool(0.5))
+			}
 
-				label := "off"
-				if interval > 0 {
-					label = fmt.Sprintf("%d", interval)
-				}
-				return []string{label, pct(monAcc),
-					fmt.Sprintf("%s (%d errs, %d boundary misses)", pct(ch.Accuracy()), ch.BitErrors, ch.BoundaryMiss)}, nil
-			},
+			label := "off"
+			if interval > 0 {
+				label = fmt.Sprintf("%d", interval)
+			}
+			return []string{label, pct(monAcc),
+				fmt.Sprintf("%s (%d errs, %d boundary misses)", pct(ch.Accuracy()), ch.BitErrors, ch.BoundaryMiss)}, nil
 		}
 	}
 	return &Spec{
 		ID:     "ablnoise",
-		Title:  "Ablation: background traffic intensity vs. MetaLeak-T",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{

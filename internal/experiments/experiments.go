@@ -9,8 +9,7 @@
 // partials in trial-index order. internal/runner executes the trials on
 // a bounded worker pool, so `metaleak run <id> -par N` produces
 // byte-identical output for every N — including N=1, the historic
-// sequential behaviour. The legacy one-call entry points (Fig6, ...)
-// remain as sequential wrappers over their specs.
+// sequential behaviour. Run executes one registered experiment.
 //
 // Experiments accept an Options to trade runtime for sample count; the
 // zero value selects defaults sized for interactive runs, and Full()
@@ -23,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"metaleak/internal/arch"
 	"metaleak/internal/runner"
 )
 
@@ -192,36 +190,6 @@ func IDs() []string {
 	return out
 }
 
-// stats helpers --------------------------------------------------------------
-
-type sample []arch.Cycles
-
-func (s sample) sorted() sample {
-	out := append(sample(nil), s...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (s sample) mean() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s {
-		sum += float64(v)
-	}
-	return sum / float64(len(s))
-}
-
-func (s sample) percentile(p float64) arch.Cycles {
-	if len(s) == 0 {
-		return 0
-	}
-	sorted := s.sorted()
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 func cyc(v float64) string { return fmt.Sprintf("%.0f", v) }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
@@ -255,12 +223,6 @@ func (r *Result) Markdown() string {
 	return sb.String()
 }
 
-// Report runs every registered experiment sequentially and renders one
-// markdown document (the regenerated evaluation).
-func Report(o Options) (string, error) {
-	return ReportContext(context.Background(), o, 1)
-}
-
 // ReportContext regenerates the whole evaluation at the given trial
 // parallelism. Every spec's trials are flattened into one runner pool —
 // workers stay busy across experiment boundaries instead of draining at
@@ -275,9 +237,7 @@ func ReportContext(ctx context.Context, o Options, workers int) (string, error) 
 	for i, id := range ids {
 		specs[i] = Registry[id](o)
 		offsets[i] = len(flat)
-		for _, tr := range specs[i].Trials {
-			flat = append(flat, tr.Run)
-		}
+		flat = append(flat, specs[i].Trials...)
 	}
 	parts, err := runner.Run(ctx, flat, workers)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestResultRendering(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r, err := Table1(tiny())
+	r, err := Run(context.Background(), "table1", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig6BandsOrdered(t *testing.T) {
-	r, err := Fig6(tiny())
+	r, err := Run(context.Background(), "fig6", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFig6BandsOrdered(t *testing.T) {
 }
 
 func TestFig7BandsOrdered(t *testing.T) {
-	r, err := Fig7(tiny())
+	r, err := Run(context.Background(), "fig7", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFig7BandsOrdered(t *testing.T) {
 }
 
 func TestFig8GapIsLarge(t *testing.T) {
-	r, err := Fig8(tiny())
+	r, err := Run(context.Background(), "fig8", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFig8GapIsLarge(t *testing.T) {
 }
 
 func TestFig11Accuracy(t *testing.T) {
-	r, err := Fig11(tiny())
+	r, err := Run(context.Background(), "fig11", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFig11Accuracy(t *testing.T) {
 }
 
 func TestFig12MonotoneCoverage(t *testing.T) {
-	r, err := Fig12(tiny())
+	r, err := Run(context.Background(), "fig12", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFig12MonotoneCoverage(t *testing.T) {
 }
 
 func TestFig14Accuracy(t *testing.T) {
-	r, err := Fig14(tiny())
+	r, err := Run(context.Background(), "fig14", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig14Accuracy(t *testing.T) {
 }
 
 func TestFig15Accuracy(t *testing.T) {
-	r, err := Fig15(tiny())
+	r, err := Run(context.Background(), "fig15", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFig15Accuracy(t *testing.T) {
 }
 
 func TestFig16Accuracy(t *testing.T) {
-	r, err := Fig16(tiny())
+	r, err := Run(context.Background(), "fig16", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFig16Accuracy(t *testing.T) {
 }
 
 func TestFig17Accuracy(t *testing.T) {
-	r, err := Fig17(tiny())
+	r, err := Run(context.Background(), "fig17", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFig17Accuracy(t *testing.T) {
 }
 
 func TestFig18Monotoneish(t *testing.T) {
-	r, err := Fig18(tiny())
+	r, err := Run(context.Background(), "fig18", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAblationNoiseDegradesGracefully(t *testing.T) {
-	r, err := AblationNoise(tiny())
+	r, err := Run(context.Background(), "ablnoise", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestAblationNoiseDegradesGracefully(t *testing.T) {
 }
 
 func TestDefenseIsolation(t *testing.T) {
-	r, err := DefenseIsolation(tiny())
+	r, err := Run(context.Background(), "defiso", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDefenseIsolation(t *testing.T) {
 }
 
 func TestAblationSecureOverheadShowsSlowdown(t *testing.T) {
-	r, err := AblationSecureOverhead(tiny())
+	r, err := Run(context.Background(), "ablsec", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestAblationSecureOverheadShowsSlowdown(t *testing.T) {
 }
 
 func TestDefenseRandomizedMeta(t *testing.T) {
-	r, err := DefenseRandomizedMeta(tiny())
+	r, err := Run(context.Background(), "defrand", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestDefenseRandomizedMeta(t *testing.T) {
 }
 
 func TestDefenseLadder(t *testing.T) {
-	r, err := DefenseLadder(tiny())
+	r, err := Run(context.Background(), "defladder", tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +345,11 @@ func TestDeterminism(t *testing.T) {
 func TestSeedChangesResults(t *testing.T) {
 	o1, o2 := tiny(), tiny()
 	o2.Seed = o1.Seed + 1000
-	a, err := Fig18(o1)
+	a, err := Run(context.Background(), "fig18", o1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig18(o2)
+	b, err := Run(context.Background(), "fig18", o2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func TestValidateRejectsNegativeSizes(t *testing.T) {
 	}
 	badHunt := huntTestAxes()
 	badHunt.Pairs = -1
-	if _, err := Hunt(context.Background(), badHunt, 1); err == nil {
-		t.Error("Hunt accepted a negative pair count")
+	if _, err := HuntOpts(context.Background(), badHunt, SweepOptions{Workers: 1}); err == nil {
+		t.Error("HuntOpts accepted a negative pair count")
 	}
 }
 

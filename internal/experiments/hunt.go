@@ -248,14 +248,9 @@ func Summarize(rows []HuntRow) HuntSummary {
 	return s
 }
 
-// Hunt runs the whole grid with at most `workers` cells in flight.
-func Hunt(ctx context.Context, axes HuntAxes, workers int) ([]HuntRow, error) {
-	return HuntOpts(ctx, axes, SweepOptions{Workers: workers})
-}
-
-// HuntOpts runs the grid under the full execution policy — the hunt
-// twin of SweepOpts, sharing its options type because the policy knobs
-// (workers, checkpoint, deadlines, retries, harness faults) are
+// HuntOpts runs the whole grid under the full execution policy — the
+// hunt twin of SweepOpts, sharing its options type because the policy
+// knobs (workers, checkpoint, deadlines, retries, harness faults) are
 // engine-independent.
 func HuntOpts(ctx context.Context, axes HuntAxes, opts SweepOptions) ([]HuntRow, error) {
 	g, err := newHuntGrid(axes)
@@ -276,14 +271,6 @@ func HuntDispatch(ctx context.Context, axes HuntAxes, opts SweepOptions, dopts D
 		return nil, err
 	}
 	return g.dispatch(ctx, opts, dopts, ln, dispatchHooks[HuntCell, HuntRow]{})
-}
-
-// runLocalHuntDispatch is HuntDispatch on an in-process local fleet of
-// n workers (onLocalFleet), the tests' model of a mixed fleet.
-func runLocalHuntDispatch(ctx context.Context, axes HuntAxes, opts SweepOptions, dopts DispatchOptions, n int) ([]HuntRow, error) {
-	return onLocalFleet(ctx, n, nil, func(ln net.Listener) ([]HuntRow, error) {
-		return HuntDispatch(ctx, axes, opts, dopts, ln)
-	})
 }
 
 // newHuntGrid validates and normalizes the axes, parses and vets the
@@ -345,9 +332,3 @@ func (a HuntAxes) Fingerprint() string {
 
 // HuntCheckpoint is the durable record of a hunt in progress.
 type HuntCheckpoint = gridCheckpoint[HuntCell, HuntRow]
-
-// OpenHuntCheckpoint opens (or starts) the checkpoint for a hunt grid,
-// with the same salvage and refusal semantics as OpenCheckpoint.
-func OpenHuntCheckpoint(path string, axes HuntAxes) (*HuntCheckpoint, error) {
-	return openCheckpoint(path, axes.normalized().asGrid(nil))
-}

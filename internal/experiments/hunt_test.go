@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func huntTestAxes() HuntAxes {
 // -par worker count.
 func TestHuntWorkerCountInvariant(t *testing.T) {
 	axes := huntTestAxes()
-	base, err := Hunt(context.Background(), axes, 1)
+	base, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestHuntWorkerCountInvariant(t *testing.T) {
 		t.Fatal("no cell diverged — the fuzzer found nothing on leaky baselines")
 	}
 	for _, workers := range []int{2, 7} {
-		rows, err := Hunt(context.Background(), axes, workers)
+		rows, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestHuntCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hunt.ckpt")
 
-	full, err := Hunt(context.Background(), axes, 2)
+	full, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestHuntCheckpointResume(t *testing.T) {
 
 	other := axes
 	other.Seed++
-	if _, err := OpenHuntCheckpoint(path, other); err == nil {
+	if _, err := openCheckpoint(path, other.normalized().asGrid(nil)); err == nil {
 		t.Fatal("checkpoint from different axes accepted")
 	}
 	if _, err := OpenCheckpoint(path, DefaultSweepAxes()); err == nil {
@@ -99,12 +100,14 @@ func TestHuntCheckpointResume(t *testing.T) {
 // uses.
 func TestHuntDispatchByteIdentical(t *testing.T) {
 	axes := huntTestAxes()
-	want, err := Hunt(context.Background(), axes, 4)
+	want, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 3} {
-		rows, err := runLocalHuntDispatch(context.Background(), axes, SweepOptions{}, DispatchOptions{}, n)
+		rows, err := onLocalFleet(context.Background(), n, nil, func(ln net.Listener) ([]HuntRow, error) {
+			return HuntDispatch(context.Background(), axes, SweepOptions{}, DispatchOptions{}, ln)
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}

@@ -1,25 +1,21 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"metaleak/internal/arch"
 	"metaleak/internal/core"
 	"metaleak/internal/machine"
+	"metaleak/internal/runner"
 	"metaleak/internal/secmem"
 	"metaleak/internal/stats"
 )
 
-// Table1 prints the simulated and SGX configurations (the reproduction's
-// Table I).
-func Table1(o Options) (*Result, error) { return SpecTable1(o).Run(context.Background(), 1) }
-
-// SpecTable1 declares Table1 as a spec: one pure trial, nothing to merge.
+// SpecTable1 prints the simulated and SGX configurations (the
+// reproduction's Table I): one pure trial, nothing to merge.
 func SpecTable1(o Options) *Spec {
-	return single("table1", "Simulated secure processors and the SGX configuration",
-		func() (*Result, error) { return table1(o) })
+	return single("table1", func() (*Result, error) { return table1(o) })
 }
 
 func table1(o Options) (*Result, error) {
@@ -51,11 +47,11 @@ func table1(o Options) (*Result, error) {
 
 // pathBuckets drives one machine through a mixed access pattern and
 // collects read latencies per Fig. 5 path class.
-func pathBuckets(dp machine.DesignPoint, samples int, seed uint64) map[string]sample {
+func pathBuckets(dp machine.DesignPoint, samples int, seed uint64) map[string]stats.Sample {
 	dp.Seed = seed
 	sys := machine.NewSystem(dp)
 	rng := arch.NewRNG(seed ^ 0xf16)
-	buckets := make(map[string]sample)
+	buckets := make(map[string]stats.Sample)
 	record := func(key string, lat arch.Cycles) {
 		buckets[key] = append(buckets[key], lat)
 	}
@@ -113,7 +109,7 @@ func pathBuckets(dp machine.DesignPoint, samples int, seed uint64) map[string]sa
 	return buckets
 }
 
-func bucketResult(id, title string, buckets map[string]sample) *Result {
+func bucketResult(id, title string, buckets map[string]stats.Sample) *Result {
 	r := &Result{
 		ID:     id,
 		Title:  title,
@@ -130,43 +126,40 @@ func bucketResult(id, title string, buckets map[string]sample) *Result {
 		r.Rows = append(r.Rows, []string{
 			k,
 			fmt.Sprintf("%d", len(s)),
-			fmt.Sprintf("%d", s.percentile(0)),
-			cyc(s.mean()),
-			fmt.Sprintf("%d", s.percentile(0.95)),
+			fmt.Sprintf("%d", s.Percentile(0)),
+			cyc(s.Mean()),
+			fmt.Sprintf("%d", s.Percentile(0.95)),
 		})
 	}
 	return r
 }
 
-// Fig6 reproduces the latency distributions across access paths on the
-// simulated SCT design (and reports the HT design alongside, per §V),
-// including the §V "Memory Write Latency" characterization.
-func Fig6(o Options) (*Result, error) { return SpecFig6(o).Run(context.Background(), 1) }
-
-// SpecFig6 declares Fig6 as three independent trials — the SCT sweep,
-// the HT sweep, and the write-path characterization each drive their
-// own machine — merged into the figure's single table.
+// SpecFig6 reproduces the latency distributions across access paths on
+// the simulated SCT design (and reports the HT design alongside, per
+// §V), including the §V "Memory Write Latency" characterization. It
+// runs as three independent trials — the SCT sweep, the HT sweep, and
+// the write-path characterization each drive their own machine —
+// merged into the figure's single table.
 func SpecFig6(o Options) *Spec {
 	o = o.withDefaults()
 	const title = "Read latency across metadata access paths (simulated SCT)"
 	return &Spec{
-		ID:    "fig6",
-		Title: title,
-		Trials: []Trial{
-			{Name: "fig6/sct", Run: func() (any, error) {
+		ID: "fig6",
+		Trials: []runner.Trial{
+			func() (any, error) {
 				return pathBuckets(machine.ConfigSCT(), o.Samples, o.Seed+6), nil
-			}},
-			{Name: "fig6/ht", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				return pathBuckets(machine.ConfigHT(), o.Samples/2, o.Seed+66), nil
-			}},
-			{Name: "fig6/write", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				warm, cold := writeBuckets(machine.ConfigSCT(), o.Samples/4, o.Seed+67)
 				return [2]stats.Sample{warm, cold}, nil
-			}},
+			},
 		},
 		Merge: func(parts []any) (*Result, error) {
-			buckets := parts[0].(map[string]sample)
-			ht := parts[1].(map[string]sample)
+			buckets := parts[0].(map[string]stats.Sample)
+			ht := parts[1].(map[string]stats.Sample)
 			wc := parts[2].([2]stats.Sample)
 			r := bucketResult("fig6", title, buckets)
 			r.Notes = append(r.Notes, "HT design (same experiment):")
@@ -212,23 +205,20 @@ func writeBuckets(dp machine.DesignPoint, samples int, seed uint64) (warm, cold 
 	return warm, cold
 }
 
-// Fig7 is Fig6 on the SGX (SIT) configuration.
-func Fig7(o Options) (*Result, error) { return SpecFig7(o).Run(context.Background(), 1) }
-
-// SpecFig7 declares Fig7: one machine, one trial.
+// SpecFig7 is SpecFig6 on the SGX (SIT) configuration: one machine, one
+// trial.
 func SpecFig7(o Options) *Spec {
 	o = o.withDefaults()
-	return single("fig7", "Read latency across access paths (SGX/SIT calibration)",
-		func() (*Result, error) {
-			buckets := pathBuckets(machine.ConfigSGX(), o.Samples, o.Seed+7)
-			r := bucketResult("fig7", "Read latency across access paths (SGX/SIT calibration)", buckets)
-			r.PaperClaim = "bands ~150..700 cycles; ~250 with tree leaf cached, ~650 with all levels missed"
-			r.Measured = summarizeBands(buckets)
-			return r, nil
-		})
+	return single("fig7", func() (*Result, error) {
+		buckets := pathBuckets(machine.ConfigSGX(), o.Samples, o.Seed+7)
+		r := bucketResult("fig7", "Read latency across access paths (SGX/SIT calibration)", buckets)
+		r.PaperClaim = "bands ~150..700 cycles; ~250 with tree leaf cached, ~650 with all levels missed"
+		r.Measured = summarizeBands(buckets)
+		return r, nil
+	})
 }
 
-func summarizeBands(buckets map[string]sample) string {
+func summarizeBands(buckets map[string]stats.Sample) string {
 	keys := make([]string, 0, len(buckets))
 	for k := range buckets {
 		keys = append(keys, k)
@@ -236,22 +226,18 @@ func summarizeBands(buckets map[string]sample) string {
 	sort.Strings(keys)
 	out := ""
 	for _, k := range keys {
-		out += fmt.Sprintf("%s mean=%s; ", k, cyc(buckets[k].mean()))
+		out += fmt.Sprintf("%s mean=%s; ", k, cyc(buckets[k].Mean()))
 	}
 	return out
 }
 
-// Fig8 reproduces the memory read latency impact of tree counter
+// SpecFig8 reproduces the memory read latency impact of tree counter
 // overflow: a timed read to a block in a bank carrying the subtree
 // re-hash traffic lands in a far slower band when the preceding write
-// overflowed the tree minor.
-func Fig8(o Options) (*Result, error) { return SpecFig8(o).Run(context.Background(), 1) }
-
-// SpecFig8 declares Fig8: the overflow cycles share one counter
+// overflowed the tree minor. The overflow cycles share one counter
 // monitor's machine history, so it stays one trial.
 func SpecFig8(o Options) *Spec {
-	return single("fig8", "Read latency with and without tree counter overflow (SCT)",
-		func() (*Result, error) { return fig8(o) })
+	return single("fig8", func() (*Result, error) { return fig8(o) })
 }
 
 func fig8(o Options) (*Result, error) {
@@ -275,7 +261,7 @@ func fig8(o Options) (*Result, error) {
 	if cycles < 8 {
 		cycles = 8
 	}
-	var noOv, ov sample
+	var noOv, ov stats.Sample
 	max := int(cm.MinorMax())
 	for c := 0; c < cycles; c++ {
 		// Post-overflow state is 1; bump to saturation, sampling normal
@@ -295,16 +281,15 @@ func fig8(o Options) (*Result, error) {
 		Title:  "Read latency with and without tree counter overflow (SCT)",
 		Header: []string{"condition", "samples", "min", "mean", "p95"},
 		Rows: [][]string{
-			{"no overflow", fmt.Sprintf("%d", len(noOv)), fmt.Sprintf("%d", noOv.percentile(0)), cyc(noOv.mean()), fmt.Sprintf("%d", noOv.percentile(0.95))},
-			{"overflow", fmt.Sprintf("%d", len(ov)), fmt.Sprintf("%d", ov.percentile(0)), cyc(ov.mean()), fmt.Sprintf("%d", ov.percentile(0.95))},
+			{"no overflow", fmt.Sprintf("%d", len(noOv)), fmt.Sprintf("%d", noOv.Percentile(0)), cyc(noOv.Mean()), fmt.Sprintf("%d", noOv.Percentile(0.95))},
+			{"overflow", fmt.Sprintf("%d", len(ov)), fmt.Sprintf("%d", ov.Percentile(0)), cyc(ov.Mean()), fmt.Sprintf("%d", ov.Percentile(0.95))},
 		},
 	}
 	// Render the two distributions (the textual analogue of the figure).
-	all := append(stats.Sample{}, stats.Sample(noOv)...)
-	all = append(all, stats.Sample(ov)...)
+	all := append(append(stats.Sample{}, noOv...), ov...)
 	r.Notes = append(r.Notes, "combined latency distribution:", stats.NewHistogram(all, 12).ASCII(36))
 	r.PaperClaim = "two distinct latency bands ~2000 cycles apart"
 	r.Measured = fmt.Sprintf("no-overflow mean=%s, overflow mean=%s (gap %.0f cycles)",
-		cyc(noOv.mean()), cyc(ov.mean()), ov.mean()-noOv.mean())
+		cyc(noOv.Mean()), cyc(ov.Mean()), ov.Mean()-noOv.Mean())
 	return r, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"metaleak/internal/arch"
@@ -9,25 +8,20 @@ import (
 	"metaleak/internal/machine"
 	"metaleak/internal/mpi"
 	"metaleak/internal/reconstruct"
+	"metaleak/internal/runner"
 	"metaleak/internal/stats"
 	"metaleak/internal/victim"
 )
 
-// DefenseIsolation evaluates the §IX-C mitigation: per-domain integrity
+// SpecDefenseIsolation evaluates the §IX-C mitigation: per-domain integrity
 // trees with private on-chip roots. The attack construction itself must
 // fail — there is no shared non-root node to monitor and no shared
 // version counter to modulate — while honest execution and tamper
 // detection keep working. The costs the paper flags (extra roots, memory
 // stranding from fixed partitioning) are reported.
-func DefenseIsolation(o Options) (*Result, error) {
-	return SpecDefenseIsolation(o).Run(context.Background(), 1)
-}
-
-// SpecDefenseIsolation declares the isolation defence: every probe runs
-// against the same four-domain machine, one trial.
+// Every probe runs against the same four-domain machine, one trial.
 func SpecDefenseIsolation(o Options) *Spec {
-	return single("defiso", "Defence: per-domain integrity trees (§IX-C) vs. MetaLeak",
-		func() (*Result, error) { return defenseIsolation(o) })
+	return single("defiso", func() (*Result, error) { return defenseIsolation(o) })
 }
 
 func defenseIsolation(o Options) (*Result, error) {
@@ -97,17 +91,12 @@ type ablsecPartial struct {
 	cold, warm, write stats.Sample
 }
 
-// AblationSecureOverhead compares the secure designs against an
+// SpecAblationSecureOverhead compares the secure designs against an
 // unprotected baseline — the cost of the metadata machinery whose timing
 // variation MetaLeak exploits. (VUL-1/VUL-2 exist precisely because this
 // machinery is not free.)
-func AblationSecureOverhead(o Options) (*Result, error) {
-	return SpecAblationSecureOverhead(o).Run(context.Background(), 1)
-}
-
-// SpecAblationSecureOverhead declares the overhead study as one trial
-// per configuration (the insecure baseline first); the merge computes
-// every slowdown against the baseline partial.
+// It runs as one trial per configuration (the insecure baseline first);
+// the merge computes every slowdown against the baseline partial.
 func SpecAblationSecureOverhead(o Options) *Spec {
 	o = o.withDefaults()
 	measure := func(dp machine.DesignPoint) (any, error) {
@@ -134,17 +123,13 @@ func SpecAblationSecureOverhead(o Options) *Spec {
 	base.Name = "insecure"
 	base.Insecure = true
 	points := []machine.DesignPoint{base, machine.ConfigSCT(), machine.ConfigHT(), machine.ConfigSGX()}
-	trials := make([]Trial, len(points))
+	trials := make([]runner.Trial, len(points))
 	for i, dp := range points {
 		dp := dp
-		trials[i] = Trial{
-			Name: "ablsec/" + dp.Name,
-			Run:  func() (any, error) { return measure(dp) },
-		}
+		trials[i] = func() (any, error) { return measure(dp) }
 	}
 	return &Spec{
 		ID:     "ablsec",
-		Title:  "Ablation: secure-memory overhead vs. unprotected baseline",
 		Trials: trials,
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{
@@ -176,16 +161,19 @@ type defrandPartial struct {
 	cyc  float64
 }
 
-// runDefrandRounds drives one evict/victim/reload loop and reports the
-// classification accuracy and per-round cost.
-func runDefrandRounds(evict func(), reload func() (bool, arch.Cycles), victim func(), sys *machine.System) (float64, float64) {
-	correct, rounds := 0, 60
+// scoreRounds drives rounds evict/victim/reload windows, the victim on
+// core 1 touching page's first block in every even window, and returns
+// the monitor's classification accuracy and the mean round cost in
+// cycles.
+func scoreRounds(sys *machine.System, page arch.PageID, rounds int, evict func(), reload func() (bool, arch.Cycles)) (acc, perRound float64) {
+	correct := 0
 	start := sys.Now()
 	for i := 0; i < rounds; i++ {
 		evict()
 		want := i%2 == 0
 		if want {
-			victim()
+			sys.Flush(1, page.Block(0))
+			sys.Touch(1, page.Block(0))
 		}
 		got, _ := reload()
 		if got == want {
@@ -195,17 +183,13 @@ func runDefrandRounds(evict func(), reload func() (bool, arch.Cycles), victim fu
 	return float64(correct) / float64(rounds), float64(sys.Now()-start) / float64(rounds)
 }
 
-// DefenseRandomizedMeta deploys MIRAGE as the metadata cache (§IX-B) and
+// SpecDefenseRandomizedMeta deploys MIRAGE as the metadata cache (§IX-B) and
 // measures both halves of the paper's argument: conflict-based mEvict
 // becomes impossible (no set geometry), yet MetaLeak-T survives via
 // volume-based eviction — at a cost quantified against the baseline.
-func DefenseRandomizedMeta(o Options) (*Result, error) {
-	return SpecDefenseRandomizedMeta(o).Run(context.Background(), 1)
-}
-
-// SpecDefenseRandomizedMeta declares the MIRAGE defence as two trials —
-// the set-associative baseline machine and the MIRAGE machine — merged
-// into the comparison table with the relative round cost.
+// It runs as two trials — the set-associative baseline machine and the
+// MIRAGE machine — merged into the comparison table with the relative
+// round cost.
 func SpecDefenseRandomizedMeta(o Options) *Spec {
 	o = o.withDefaults()
 	base := machine.ConfigSCT()
@@ -214,10 +198,9 @@ func SpecDefenseRandomizedMeta(o Options) *Spec {
 	base.MetaKB = 16
 	base.FastCrypto = true
 	return &Spec{
-		ID:    "defrand",
-		Title: "Defence: MIRAGE-randomized metadata cache vs. MetaLeak-T",
-		Trials: []Trial{
-			{Name: "defrand/baseline", Run: func() (any, error) {
+		ID: "defrand",
+		Trials: []runner.Trial{
+			func() (any, error) {
 				// Baseline: set-associative metadata cache, conflict-based
 				// monitor.
 				bSys := machine.NewSystem(base)
@@ -228,17 +211,14 @@ func SpecDefenseRandomizedMeta(o Options) *Spec {
 					return nil, err
 				}
 				bMon.Calibrate(8)
-				bAcc, bCyc := runDefrandRounds(bMon.Evict, bMon.Reload, func() {
-					bSys.Flush(1, bVictim.Block(0))
-					bSys.Touch(1, bVictim.Block(0))
-				}, bSys)
+				bAcc, bCyc := scoreRounds(bSys, bVictim, 60, bMon.Evict, bMon.Reload)
 				return &defrandPartial{
 					rows: [][]string{{"set-associative (baseline)", "conflict eviction sets", pct(bAcc), cyc(bCyc)}},
 					acc:  bAcc,
 					cyc:  bCyc,
 				}, nil
-			}},
-			{Name: "defrand/mirage", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				// Defended: MIRAGE metadata cache.
 				dp := base
 				dp.Seed = o.Seed + 96
@@ -254,10 +234,7 @@ func SpecDefenseRandomizedMeta(o Options) *Spec {
 					return nil, err
 				}
 				vm.Calibrate(10)
-				vAcc, vCyc := runDefrandRounds(vm.Evict, vm.Reload, func() {
-					sys.Flush(1, victimPage.Block(0))
-					sys.Touch(1, victimPage.Block(0))
-				}, sys)
+				vAcc, vCyc := scoreRounds(sys, victimPage, 60, vm.Evict, vm.Reload)
 				return &defrandPartial{
 					rows: [][]string{
 						{"MIRAGE metadata cache", "conflict eviction sets", "impossible (no set mapping)", "-"},
@@ -266,7 +243,7 @@ func SpecDefenseRandomizedMeta(o Options) *Spec {
 					acc: vAcc,
 					cyc: vCyc,
 				}, nil
-			}},
+			},
 		},
 		Merge: func(parts []any) (*Result, error) {
 			baseline, mirage := parts[0].(*defrandPartial), parts[1].(*defrandPartial)
@@ -285,17 +262,13 @@ func SpecDefenseRandomizedMeta(o Options) *Spec {
 	}
 }
 
-// DefenseLadder evaluates the classic software countermeasure: the same
+// SpecDefenseLadder evaluates the classic software countermeasure: the same
 // MetaLeak-T attack against the square-and-multiply victim and against a
 // Montgomery-ladder victim. The attacker's page classification stays
 // near-perfect in both cases — but the ladder's access sequence carries no
 // key information, so recovery collapses to coin-flipping.
-func DefenseLadder(o Options) (*Result, error) {
-	return SpecDefenseLadder(o).Run(context.Background(), 1)
-}
-
-// SpecDefenseLadder declares the ladder study as one trial per victim
-// implementation, each attacked on its own machine.
+// It runs as one trial per victim implementation, each attacked on its
+// own machine.
 func SpecDefenseLadder(o Options) *Spec {
 	o = o.withDefaults()
 	type expRun func(v *victim.RSAVictim, base, e, m mpi.Int, iv *victim.Interleave) (mpi.Int, []victim.Op)
@@ -341,15 +314,14 @@ func SpecDefenseLadder(o Options) *Spec {
 		}, nil
 	}
 	return &Spec{
-		ID:    "defladder",
-		Title: "Defence: constant-sequence exponentiation (Montgomery ladder) vs. MetaLeak-T",
-		Trials: []Trial{
-			{Name: "defladder/sqmul", Run: func() (any, error) {
+		ID: "defladder",
+		Trials: []runner.Trial{
+			func() (any, error) {
 				return run("square-and-multiply (libgcrypt 1.5.2)", (*victim.RSAVictim).ModExp)
-			}},
-			{Name: "defladder/ladder", Run: func() (any, error) {
+			},
+			func() (any, error) {
 				return run("Montgomery ladder (hardened)", (*victim.RSAVictim).ModExpLadder)
-			}},
+			},
 		},
 		Merge: func(parts []any) (*Result, error) {
 			r := &Result{

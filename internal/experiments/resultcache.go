@@ -176,16 +176,6 @@ func (rc *ResultCache) Len() int {
 	return len(rc.rows)
 }
 
-// Bytes returns the cache's canonical footprint: the file size a
-// freshly compacted cache would occupy (header plus one line per
-// entry). An append-only file with superseded duplicates can be
-// larger until the next GC compaction rewrites it.
-func (rc *ResultCache) Bytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bytes
-}
-
 // Evictions returns how many entries the byte-cap GC has dropped.
 func (rc *ResultCache) Evictions() int {
 	rc.mu.Lock()

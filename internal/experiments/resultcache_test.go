@@ -368,3 +368,13 @@ func mustSize(t *testing.T, path string) int64 {
 	}
 	return st.Size()
 }
+
+// Bytes returns the cache's canonical footprint: the file size a
+// freshly compacted cache would occupy (header plus one line per
+// entry). An append-only file with superseded duplicates can be
+// larger until the next GC compaction rewrites it.
+func (rc *ResultCache) Bytes() int64 {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.bytes
+}

@@ -9,17 +9,6 @@ import (
 	"metaleak/internal/runner"
 )
 
-// Trial is one independent unit of an experiment. Each trial builds its
-// own machine(s) from seeds derived deterministically from Options.Seed
-// and the trial's identity, and returns a partial result for Merge; it
-// must not share mutable state with any other trial of the spec.
-type Trial struct {
-	// Name labels the trial in errors and progress output ("fig11/sct").
-	Name string
-	// Run executes the trial and returns its partial result.
-	Run func() (any, error)
-}
-
 // Spec declares one experiment as a bundle of independent trials plus a
 // pure merge — the shape every figure of the paper actually has. The
 // runner may execute trials in any order and with any parallelism;
@@ -28,10 +17,11 @@ type Trial struct {
 type Spec struct {
 	// ID is the registry key ("fig6", "table1", ...).
 	ID string
-	// Title matches the assembled Result's title.
-	Title string
-	// Trials are the independent units of work.
-	Trials []Trial
+	// Trials are the independent units of work. Each builds its own
+	// machine(s) from seeds derived deterministically from Options.Seed
+	// and the trial's identity, and returns a partial result for Merge;
+	// it must not share mutable state with any other trial of the spec.
+	Trials []runner.Trial
 	// Merge assembles the final Result from the trial partials,
 	// index-aligned with Trials. It must be pure and order-independent:
 	// no machine access, no RNG draws, no dependence on completion
@@ -54,8 +44,8 @@ func (s *Spec) Run(ctx context.Context, workers int) (*Result, error) {
 // tried first.
 func (s *Spec) RunPolicy(ctx context.Context, pol runner.Policy, h *faults.Harness) (*Result, error) {
 	trials := make([]runner.Trial, len(s.Trials))
-	for i := range s.Trials {
-		trials[i] = h.WrapTrial(i, s.Trials[i].Run)
+	for i, tr := range s.Trials {
+		trials[i] = h.WrapTrial(i, tr)
 	}
 	parts, errs := runner.RunAllPolicy(ctx, trials, pol, nil)
 	var failed []error
@@ -74,14 +64,10 @@ func (s *Spec) RunPolicy(ctx context.Context, pol runner.Policy, h *faults.Harne
 // migration shape for experiments whose samples share machine history
 // (e.g. path-4 latencies depend on what the previous group loaded) and
 // therefore cannot be split without changing their results.
-func single(id, title string, run func() (*Result, error)) *Spec {
+func single(id string, run func() (*Result, error)) *Spec {
 	return &Spec{
-		ID:    id,
-		Title: title,
-		Trials: []Trial{{
-			Name: id,
-			Run:  func() (any, error) { return run() },
-		}},
+		ID:     id,
+		Trials: []runner.Trial{func() (any, error) { return run() }},
 		Merge: func(parts []any) (*Result, error) {
 			return parts[0].(*Result), nil
 		},

@@ -305,20 +305,7 @@ func runSweepCell(c SweepCell, bits int, ovs []machine.FieldOverride) (SweepRow,
 		return row, err
 	}
 	m.Calibrate(8)
-	correct, rounds := 0, 40
-	for i := 0; i < rounds; i++ {
-		m.Evict()
-		want := i%2 == 0
-		if want {
-			sysM.Flush(1, vicPage.Block(0))
-			sysM.Touch(1, vicPage.Block(0))
-		}
-		got, _ := m.Reload()
-		if got == want {
-			correct++
-		}
-	}
-	row.MonitorAccuracy = float64(correct) / float64(rounds)
+	row.MonitorAccuracy, _ = scoreRounds(sysM, vicPage, 40, m.Evict, m.Reload)
 	return row, nil
 }
 
@@ -359,17 +346,6 @@ type SweepOptions struct {
 // work instead of discarding it.
 func Sweep(ctx context.Context, axes SweepAxes, workers int) ([]SweepRow, error) {
 	return SweepOpts(ctx, axes, SweepOptions{Workers: workers})
-}
-
-// SweepCheckpointed is Sweep with durability: when checkpoint names a
-// file, every completed row is appended there as it finishes, and a
-// rerun with the same axes loads the file, skips the cells it already
-// holds, re-runs only missing or failed ones, and returns the merged
-// grid-order rows — byte-identical to an uninterrupted run. A
-// checkpoint written by different axes (detected by fingerprint) fails
-// loudly instead of merging unrelated grids.
-func SweepCheckpointed(ctx context.Context, axes SweepAxes, workers int, checkpoint string) ([]SweepRow, error) {
-	return SweepOpts(ctx, axes, SweepOptions{Workers: workers, Checkpoint: checkpoint})
 }
 
 // SweepOpts runs the grid under the full execution policy: bounded

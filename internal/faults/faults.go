@@ -90,25 +90,6 @@ const (
 	HarnessFlap
 )
 
-// String renders the kind name used in specs.
-func (k HarnessKind) String() string {
-	switch k {
-	case HarnessPanic:
-		return "panic"
-	case HarnessStall:
-		return "stall"
-	case HarnessErr:
-		return "err"
-	case HarnessTrunc:
-		return "trunc"
-	case HarnessDisconnect:
-		return "disconnect"
-	case HarnessFlap:
-		return "flap"
-	}
-	return "unknown"
-}
-
 // MachineEntry is one parsed machine-level fault.
 type MachineEntry struct {
 	// Class is the metadata class to corrupt; ignored when Any is set.
@@ -387,9 +368,6 @@ func (in *Injector) Inject(seq uint64, b arch.BlockID, write bool) []secmem.Inje
 	in.fired += len(out)
 	return out
 }
-
-// Planned returns the total number of injections the schedule holds.
-func (in *Injector) Planned() int { return in.planned }
 
 // Outstanding returns how many planned injections have not fired yet —
 // still scheduled at future ordinals, or deferred waiting for a read.

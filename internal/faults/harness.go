@@ -67,6 +67,8 @@ func (p *Plan) NewHarness() *Harness {
 }
 
 // SetStall overrides how long injected stalls block (tests shorten it).
+//
+//metalint:allow deadcode test hook for TestHarnessStallExpires and TestSweepStallTimeout
 func (h *Harness) SetStall(d time.Duration) { h.stall = d }
 
 // WrapTrial wraps a trial so the planned leading attempts for the cell
@@ -131,15 +133,6 @@ func (h *Harness) Disconnect(cell int) bool {
 	return false
 }
 
-// HasDisconnects reports whether the harness plans any disconnect
-// faults (and hence needs a distributed run to exercise them).
-func (h *Harness) HasDisconnects() bool {
-	if h == nil {
-		return false
-	}
-	return len(h.disconnects) > 0
-}
-
 // AfterAppend is the checkpoint tamper hook: the checkpoint calls it
 // after its n-th successful append (n is 1-based) with the file path.
 // At the planned append it tears a few bytes off the file's tail —
@@ -163,14 +156,4 @@ func (h *Harness) AfterAppend(path string, n int) (crashed bool) {
 	}
 	h.crashed = true
 	return true
-}
-
-// Crashed reports whether the planned checkpoint tear has fired.
-func (h *Harness) Crashed() bool {
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.crashed
 }

@@ -55,18 +55,6 @@ const (
 	numOpKinds
 )
 
-var opNames = [numOpKinds]string{
-	"touch", "write", "sec-touch", "sec-write", "sec-idle", "idle",
-}
-
-// String names the op kind.
-func (k OpKind) String() string {
-	if int(k) < len(opNames) {
-		return opNames[k]
-	}
-	return fmt.Sprintf("op(%d)", int(k))
-}
-
 // Op is one victim operation.
 type Op struct {
 	Kind OpKind

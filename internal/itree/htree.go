@@ -200,6 +200,8 @@ func (t *HTree) CorruptNode(ref NodeRef) {
 
 // CorruptCounterHash flips the leaf hash covering the counter block
 // (tamper injection for tests).
+//
+//metalint:allow deadcode fault hook for TestHTCorruptCounterHashDetected
 func (t *HTree) CorruptCounterHash(cb arch.BlockID) {
 	leaf := t.node(t.LeafRef(cb))
 	slot := t.geo.cbIndex(cb) % t.cfg.Arities[0]

@@ -106,9 +106,6 @@ type Tree interface {
 	// state against honest history instead of lazily adopting the
 	// corruption as truth.
 	CorruptNode(ref NodeRef)
-	// CorruptCounterHash flips the stored hash binding a counter block to
-	// the tree (tamper injection), with the same establish-first rule.
-	CorruptCounterHash(cb arch.BlockID)
 }
 
 // Hasher is the slice of the crypto engine the trees need.

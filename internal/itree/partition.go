@@ -69,9 +69,6 @@ func NewPartitioned(base VTreeConfig, domains int, h Hasher) *Partitioned {
 	return p
 }
 
-// Domains returns the number of isolated domains.
-func (p *Partitioned) Domains() int { return len(p.domains) }
-
 // DomainOfCounterBlock returns the domain covering a counter block.
 func (p *Partitioned) DomainOfCounterBlock(cb arch.BlockID) int {
 	idx := int(cb - arch.CounterBase.Block())
@@ -202,11 +199,6 @@ func (p *Partitioned) MinorValue(ref NodeRef, slot int) uint64 {
 func (p *Partitioned) CorruptNode(ref NodeRef) {
 	d, local := p.localize(ref)
 	p.domains[d].CorruptNode(local)
-}
-
-// CorruptCounterHash implements Tree.
-func (p *Partitioned) CorruptCounterHash(cb arch.BlockID) {
-	p.domains[p.DomainOfCounterBlock(cb)].CorruptCounterHash(cb)
 }
 
 // RootCount returns the total number of on-chip root entries the forest

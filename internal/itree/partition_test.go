@@ -145,3 +145,6 @@ func TestPartitionedBadConfigPanics(t *testing.T) {
 	}()
 	newForest(1000, 3)
 }
+
+// Domains is the tests' probe of the number of isolated domains.
+func (p *Partitioned) Domains() int { return len(p.domains) }

@@ -335,6 +335,8 @@ func (t *VTree) CorruptNode(ref NodeRef) {
 
 // CorruptCounterHash flips the stored hash of a counter block (tamper
 // injection for tests).
+//
+//metalint:allow deadcode fault hook for TestCounterHashCorruptionDetected
 func (t *VTree) CorruptCounterHash(cb arch.BlockID) {
 	if h, ok := t.ctrHash[cb]; ok {
 		t.ctrHash[cb] = h ^ 0xdeadbeef

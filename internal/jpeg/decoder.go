@@ -1,17 +1,5 @@
 package jpeg
 
-// Decode inverts Encode: it entropy-decodes the coefficient blocks,
-// dequantizes, and applies the inverse DCT. It exists both to prove the
-// encoder emits a valid stream (round-trip tests) and as the back half of
-// the attacker's local reconstruction pipeline (§VIII-A1).
-func Decode(res *Result) (*Image, error) {
-	blocks, err := DecodeBlocks(res)
-	if err != nil {
-		return nil, err
-	}
-	return RenderBlocks(blocks, res.W, res.H, res.Quality), nil
-}
-
 // DecodeBlocks entropy-decodes the quantized coefficient blocks from the
 // bitstream.
 func DecodeBlocks(res *Result) ([][dctSize2]int, error) {
@@ -80,7 +68,7 @@ func RenderBlocks(blocks [][dctSize2]int, w, h, quality int) *Image {
 	quant := QuantTable(quality)
 	im := NewImage(w, h)
 	bw := (w + 7) / 8
-	for i, block := range blocks { //metalint:leaky out-of-model decode-side ground-truth tooling; consumes the victim's own bitstream
+	for i, block := range blocks {
 		bx, by := i%bw, i/bw
 		var coefs [dctSize2]float64
 		for j := 0; j < dctSize2; j++ {

@@ -299,3 +299,15 @@ func TestPGMErrors(t *testing.T) {
 		}
 	}
 }
+
+// Decode inverts Encode: it entropy-decodes the coefficient blocks,
+// dequantizes, and applies the inverse DCT. It exists both to prove the
+// encoder emits a valid stream (round-trip tests) and as the back half of
+// the attacker's local reconstruction pipeline (§VIII-A1).
+func Decode(res *Result) (*Image, error) {
+	blocks, err := DecodeBlocks(res)
+	if err != nil {
+		return nil, err
+	}
+	return RenderBlocks(blocks, res.W, res.H, res.Quality), nil
+}

@@ -94,9 +94,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // setIndex computes the randomized set mapping for a skew (a keyed mix,
 // standing in for MIRAGE's cipher-based index derivation).
 func (c *Cache) setIndex(skew int, b arch.BlockID) int {
@@ -216,9 +213,6 @@ func (c *Cache) evictRandom() {
 	c.skews[loc[0]][loc[1]][loc[2]].valid = false
 	c.dropResident(b)
 }
-
-// Occupancy returns the number of resident blocks.
-func (c *Cache) Occupancy() int { return len(c.order) }
 
 // The methods below let a MIRAGE instance serve as the memory controller's
 // metadata cache (the §IX-B defence deployed, not just modelled): dirty

@@ -168,3 +168,9 @@ func TestInsertReportIdempotentOnResident(t *testing.T) {
 		t.Fatal("re-insert lost dirty flag")
 	}
 }
+
+// Stats is the tests' probe of the counters: a snapshot.
+func (c *Cache) Stats() Stats { return c.stats }
+
+// Occupancy is the tests' probe of fill: the number of resident blocks.
+func (c *Cache) Occupancy() int { return len(c.order) }

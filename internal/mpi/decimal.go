@@ -5,34 +5,9 @@ import (
 	"strings"
 )
 
-// Decimal I/O: key material in papers and RFC test vectors is usually
-// printed in base 10; these converters round-trip arbitrary-precision
+// Decimal output: key material in papers and RFC test vectors is
+// usually printed in base 10; Decimal renders arbitrary-precision
 // values without math/big.
-
-// FromDecimal parses a base-10 integer (optional leading '-').
-func FromDecimal(s string) (Int, error) {
-	s = strings.TrimSpace(s)
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
-	}
-	if s == "" {
-		return Int{}, fmt.Errorf("mpi: empty decimal string")
-	}
-	x := New(0)
-	ten := New(10)
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return Int{}, fmt.Errorf("mpi: bad decimal digit %q", c)
-		}
-		x = x.Mul(ten).Add(New(uint64(c - '0')))
-	}
-	if neg {
-		x = x.Neg()
-	}
-	return x, nil
-}
 
 // Decimal renders the value in base 10.
 func (x Int) Decimal() string {

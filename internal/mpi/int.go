@@ -20,15 +20,6 @@ func New(v uint64) Int {
 	return Int{abs: nat{uint32(v), uint32(v >> 32)}.norm()}
 }
 
-// FromBytes interprets big-endian bytes as an unsigned integer.
-func FromBytes(b []byte) Int {
-	var x nat
-	for _, c := range b {
-		x = x.shl(8).add(nat{uint32(c)}.norm())
-	}
-	return Int{abs: x}
-}
-
 // Bytes returns the big-endian magnitude (empty for zero).
 func (x Int) Bytes() []byte {
 	var out []byte

@@ -126,15 +126,6 @@ func ModInverse(a, m Int, h *Hooks) (Int, bool) {
 	return bigC.Mod(m), true
 }
 
-// GCD returns the greatest common divisor of |x| and |y|.
-func GCD(x, y Int) Int {
-	a, b := mk(false, x.abs), mk(false, y.abs)
-	for !b.IsZero() { //metalint:leaky trip-count trip count follows operand bit/limb structure
-		a, b = b, a.Mod(b)
-	}
-	return a
-}
-
 // Random returns a uniformly random value with exactly the given bit
 // length (top bit set), drawn from the deterministic generator.
 func Random(rng *arch.RNG, bitLen int) Int {

@@ -80,27 +80,6 @@ func (ctx *montCtx) toMont(a Int) Int { return ctx.mul(a.Mod(ctx.m), ctx.r2) }
 // fromMont converts back (a*R^{-1} mod m).
 func (ctx *montCtx) fromMont(a Int) Int { return ctx.redc(append(nat(nil), a.abs...)) } //metalint:leaky access-sequence limb copy of a secret operand
 
-// ModExpMont computes base^exp mod m (odd m) with Montgomery
-// multiplication and the same left-to-right square-and-multiply schedule
-// as ModExp — and therefore the same leak. It exists to validate the
-// Montgomery machinery and to contrast with ModExpLadder.
-//
-//metalint:secret exp -- same exponent secret as ModExp, on the Montgomery path
-func ModExpMont(base, exp, m Int, h *Hooks) Int {
-	ctx := newMontCtx(m)
-	r := ctx.one
-	b := ctx.toMont(base)
-	for i := exp.BitLen() - 1; i >= 0; i-- { //metalint:leaky trip-count one iteration per exponent bit on the Montgomery path
-		h.square()
-		r = ctx.mul(r, r)
-		if exp.Bit(i) == 1 { //metalint:leaky access-sequence same set-bit multiply leak as ModExp, in Montgomery form
-			h.multiply()
-			r = ctx.mul(r, b)
-		}
-	}
-	return ctx.fromMont(r)
-}
-
 // ModExpLadder computes base^exp mod m (odd m) with the Montgomery
 // ladder: each exponent bit performs exactly one multiply and one square,
 // in the same order, regardless of the bit's value. The hook trace is

@@ -121,3 +121,22 @@ func TestMontgomeryEvenModulusPanics(t *testing.T) {
 	}()
 	newMontCtx(New(100))
 }
+
+// ModExpMont computes base^exp mod m (odd m) with Montgomery
+// multiplication and ModExp's left-to-right square-and-multiply
+// schedule: the reference that checks the Montgomery machinery
+// ModExpLadder runs on against ModExp.
+func ModExpMont(base, exp, m Int, h *Hooks) Int {
+	ctx := newMontCtx(m)
+	r := ctx.one
+	b := ctx.toMont(base)
+	for i := exp.BitLen() - 1; i >= 0; i-- {
+		h.square()
+		r = ctx.mul(r, r)
+		if exp.Bit(i) == 1 {
+			h.multiply()
+			r = ctx.mul(r, b)
+		}
+	}
+	return ctx.fromMont(r)
+}

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -258,18 +260,6 @@ func TestModInverseHooksFire(t *testing.T) {
 	}
 }
 
-func TestGCD(t *testing.T) {
-	f := func(a, b []byte) bool {
-		x, y := fromRaw(a), fromRaw(b)
-		g := GCD(x, y)
-		want := new(big.Int).GCD(nil, nil, toBig(x), toBig(y))
-		return toBig(g).Cmp(want) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPrimality(t *testing.T) {
 	rng := arch.NewRNG(11)
 	known := []struct {
@@ -368,4 +358,41 @@ func TestQuickDecimalAgainstBig(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FromBytes interprets big-endian bytes as an unsigned integer: the
+// inverse the tests check Int.Bytes against and build fuzz operands
+// with.
+func FromBytes(b []byte) Int {
+	var x nat
+	for _, c := range b {
+		x = x.shl(8).add(nat{uint32(c)}.norm())
+	}
+	return Int{abs: x}
+}
+
+// FromDecimal parses a base-10 integer (optional leading '-'): the
+// inverse the tests check Int.Decimal against.
+func FromDecimal(s string) (Int, error) {
+	s = strings.TrimSpace(s)
+	neg := false
+	if strings.HasPrefix(s, "-") {
+		neg = true
+		s = s[1:]
+	}
+	if s == "" {
+		return Int{}, fmt.Errorf("mpi: empty decimal string")
+	}
+	x := New(0)
+	ten := New(10)
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return Int{}, fmt.Errorf("mpi: bad decimal digit %q", c)
+		}
+		x = x.Mul(ten).Add(New(uint64(c - '0')))
+	}
+	if neg {
+		x = x.Neg()
+	}
+	return x, nil
 }

@@ -73,24 +73,12 @@ type Injector interface {
 	Inject(seq uint64, b arch.BlockID, write bool) []InjectClass
 }
 
-// InjectedFault records one applied corruption.
-type InjectedFault struct {
-	Seq   uint64
-	Block arch.BlockID
-	Class InjectClass
-}
-
 // SetInjector attaches (or, with nil, detaches) a fault injector.
 func (c *Controller) SetInjector(inj Injector) { c.inj = inj }
 
 // AccessSeq returns the 1-based ordinal of the last serviced access —
 // the coordinate system fault plans schedule in.
 func (c *Controller) AccessSeq() uint64 { return c.accessSeq }
-
-// FaultLog returns every corruption applied so far, in application
-// order. Tests correlate it with TamperDetections for exact
-// fault-to-detection attribution.
-func (c *Controller) FaultLog() []InjectedFault { return c.faultLog }
 
 // preAccess advances the access ordinal and applies any faults the
 // injector plans for this access.
@@ -108,17 +96,13 @@ func (c *Controller) preAccess(b arch.BlockID, write bool) {
 // access to b.
 func (c *Controller) applyFault(cl InjectClass, b arch.BlockID) {
 	seq := c.accessSeq
-	record := func(blk arch.BlockID) {
-		c.stats.FaultsInjected++
-		c.faultLog = append(c.faultLog, InjectedFault{Seq: seq, Block: blk, Class: cl})
-	}
 	switch cl {
 	case InjectCiphertext:
 		c.TamperFlipBit(b, int(seq*17)%(8*arch.BlockSize))
-		record(b)
+		c.stats.FaultsInjected++
 	case InjectMAC:
 		c.TamperMAC(b, int(seq%64))
-		record(b)
+		c.stats.FaultsInjected++
 	case InjectMinor, InjectMajor:
 		cb := c.ctrs.CounterBlock(b)
 		// Establish the tree's binding over the honest contents before
@@ -129,7 +113,7 @@ func (c *Controller) applyFault(cl InjectClass, b arch.BlockID) {
 		// Drop the on-chip copy: the next counter fetch misses and walks
 		// the tree over the corrupted contents.
 		c.meta.Invalidate(cb)
-		record(cb)
+		c.stats.FaultsInjected++
 	case InjectNode:
 		cb := c.ctrs.CounterBlock(b)
 		leaf := c.tree.LeafRef(cb)
@@ -139,10 +123,10 @@ func (c *Controller) applyFault(cl InjectClass, b arch.BlockID) {
 		// VerifyNode sees the corruption in the same access.
 		c.meta.Invalidate(cb)
 		c.meta.Invalidate(c.tree.NodeBlockID(leaf))
-		record(c.tree.NodeBlockID(leaf))
+		c.stats.FaultsInjected++
 	case InjectRow:
 		// Corrupt every materialized block sharing b's DRAM row, in
-		// block order (map iteration must not leak into the fault log).
+		// block order (map iteration must not leak into the corruption).
 		c.ensureInit(b)
 		row := make([]arch.BlockID, 0, 8)
 		for blk := range c.store {
@@ -153,7 +137,7 @@ func (c *Controller) applyFault(cl InjectClass, b arch.BlockID) {
 		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 		for _, blk := range row {
 			c.TamperFlipBit(blk, int(seq*13)%(8*arch.BlockSize))
-			record(blk)
+			c.stats.FaultsInjected++
 		}
 	}
 }

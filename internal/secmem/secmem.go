@@ -91,7 +91,6 @@ type Config struct {
 type MetaCache interface {
 	Access(b arch.BlockID, write bool) bool
 	Insert(b arch.BlockID, dirty bool) (cache.Eviction, bool)
-	Contains(b arch.BlockID) bool
 	HitLatency() arch.Cycles
 	// Invalidate drops b without writeback (fault injection: the on-chip
 	// copy is discarded so the next access must reload — and re-verify —
@@ -111,8 +110,6 @@ func (m *mirageMeta) Insert(b arch.BlockID, dirty bool) (cache.Eviction, bool) {
 	ev, ok := m.c.InsertReport(b, dirty)
 	return cache.Eviction{Block: ev.Block, Dirty: ev.Dirty}, ok
 }
-
-func (m *mirageMeta) Contains(b arch.BlockID) bool { return m.c.Contains(b) }
 
 func (m *mirageMeta) HitLatency() arch.Cycles { return m.hit }
 
@@ -175,7 +172,6 @@ type Controller struct {
 	// returns corrupt off-chip state before the access proceeds.
 	inj       Injector
 	accessSeq uint64
-	faultLog  []InjectedFault
 
 	// Tree-overflow fallout discovered during eviction handling, surfaced
 	// in the next Write report.
@@ -213,12 +209,6 @@ func (c *Controller) Stats() Stats { return c.stats }
 // — there is no geometry to exploit, which is the §IX-B defence's point.
 func (c *Controller) Meta() *cache.Cache { return c.setMeta }
 
-// MetaContains reports metadata residency regardless of implementation.
-func (c *Controller) MetaContains(b arch.BlockID) bool { return c.meta.Contains(b) }
-
-// MetaRandomized reports whether the metadata cache is MIRAGE-organized.
-func (c *Controller) MetaRandomized() bool { return c.setMeta == nil }
-
 // DRAM exposes the memory model (bank mapping for attack address choice).
 func (c *Controller) DRAM() *dram.DRAM { return c.dram }
 
@@ -227,9 +217,6 @@ func (c *Controller) Tree() itree.Tree { return c.tree }
 
 // Counters exposes the encryption counter scheme.
 func (c *Controller) Counters() ctr.Scheme { return c.ctrs }
-
-// Engine exposes the crypto engine.
-func (c *Controller) Engine() *crypto.Engine { return c.eng }
 
 // ensureInit lazily materializes a block's ciphertext (zero plaintext) the
 // first time it is touched, as if the secure region were zero-initialized
@@ -438,10 +425,4 @@ func (c *Controller) Write(now arch.Cycles, b arch.BlockID, plain crypto.Block) 
 		c.pendingRehashed = 0
 	}
 	return rep
-}
-
-// FlushWriteQueue forces the DRAM write queue to drain — the effect the
-// attacker's redundant writes achieve in the mPreset step (§VI-B).
-func (c *Controller) FlushWriteQueue(now arch.Cycles) arch.Cycles {
-	return c.dram.FlushWrites(now)
 }

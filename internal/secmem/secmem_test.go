@@ -233,23 +233,6 @@ func TestTreeCounterOverflowViaWritebacks(t *testing.T) {
 	}
 }
 
-func TestFlushWriteQueue(t *testing.T) {
-	c, _, _ := build(256)
-	var plain crypto.Block
-	now := arch.Cycles(0)
-	for i := 0; i < 10; i++ {
-		rep := c.Write(now, arch.PageID(8+i).Block(0), plain)
-		now += rep.Latency
-	}
-	if c.DRAM().PendingWrites() == 0 {
-		t.Fatal("expected buffered writes")
-	}
-	c.FlushWriteQueue(now)
-	if c.DRAM().PendingWrites() != 0 {
-		t.Fatal("flush left writes pending")
-	}
-}
-
 // TestStatefulFuzz drives a long pseudo-random sequence of reads, writes,
 // flush-like refetches, and page hops through the controller and checks
 // the two global invariants: every read returns the last-written data,

@@ -31,6 +31,8 @@ func (c *Controller) TamperMAC(b arch.BlockID, bit int) {
 
 // TamperSplice swaps the off-chip contents (ciphertext and MAC) of two
 // blocks (data splicing).
+//
+//metalint:allow deadcode fault hook for TestSplicingDetected
 func (c *Controller) TamperSplice(b1, b2 arch.BlockID) {
 	c.ensureInit(b1)
 	c.ensureInit(b2)

@@ -172,9 +172,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Cache exposes the cell cache (tests and diagnostics).
-func (s *Server) Cache() *experiments.ResultCache { return s.cache }
-
 // Run executes queued sweeps until ctx is cancelled, then drains: the
 // active sweep's settled rows are already checkpointed (every row is
 // appended as it settles), the run is marked interrupted, still-queued

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit the experiments
 // use: summaries (mean/percentiles), latency histograms with ASCII
 // rendering (the textual analogue of the paper's distribution figures),
-// and two-class separation metrics for timing channels.
+// and the accumulators that experiments and sweeps fold results into.
 package stats
 
 import (
@@ -32,20 +32,6 @@ func (s Sample) Mean() float64 {
 		sum += float64(v)
 	}
 	return sum / float64(len(s))
-}
-
-// Std returns the population standard deviation.
-func (s Sample) Std() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s {
-		d := float64(v) - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(s)))
 }
 
 // sorted returns an ascending copy.
@@ -133,51 +119,13 @@ func (h *Histogram) ASCII(barWidth int) string {
 	return sb.String()
 }
 
-// Separation quantifies how distinguishable two latency classes are.
-type Separation struct {
-	FastMean, SlowMean float64
-	Gap                float64 // slow mean - fast mean
-	// Overlap is the fraction of samples on the wrong side of the midpoint
-	// threshold — the error rate of the naive classifier.
-	Overlap float64
-	// Threshold is the quartile-based split point.
-	Threshold arch.Cycles
-}
-
-// Separate computes the separation between a fast and a slow class.
-func Separate(fast, slow Sample) Separation {
-	sep := Separation{FastMean: fast.Mean(), SlowMean: slow.Mean()}
-	sep.Gap = sep.SlowMean - sep.FastMean
-	sep.Threshold = (fast.Percentile(0.75) + slow.Percentile(0.25)) / 2
-	wrong := 0
-	for _, v := range fast {
-		if v >= sep.Threshold {
-			wrong++
-		}
-	}
-	for _, v := range slow {
-		if v < sep.Threshold {
-			wrong++
-		}
-	}
-	if n := len(fast) + len(slow); n > 0 {
-		sep.Overlap = float64(wrong) / float64(n)
-	}
-	return sep
-}
-
-// Accuracy is 1 - Overlap: the naive threshold classifier's accuracy.
-func (s Separation) Accuracy() float64 { return 1 - s.Overlap }
-
-// Mergeable accumulators ----------------------------------------------------
+// Accumulators ---------------------------------------------------------------
 //
 // The spec/trial/merge harness needs per-trial summaries that combine
 // associatively, so an experiment's Merge step can fold any partition
 // of its trials in trial-index order without ever touching raw sample
-// slices. Counter, MeanVar, and FixedHistogram are those summaries:
-// Merge(a, Merge(b, c)) == Merge(Merge(a, b), c) exactly (integer
-// state) or to floating-point associativity (MeanVar, which uses the
-// Chan et al. pairwise update).
+// slices: Counter is that summary. MeanVar folds a sweep point's
+// replications one value at a time.
 
 // Counter is a mergeable hit counter: N observations, Hits positive.
 type Counter struct {
@@ -206,9 +154,8 @@ func (c Counter) Rate() float64 {
 	return float64(c.Hits) / float64(c.N)
 }
 
-// MeanVar is a mergeable mean/variance accumulator (count, mean, and
-// the centered second moment M2), combining with the parallel update of
-// Chan, Golub & LeVeque.
+// MeanVar is a running mean/variance accumulator (count, mean, and the
+// centered second moment M2).
 type MeanVar struct {
 	N    int
 	Mean float64
@@ -223,27 +170,6 @@ func (m *MeanVar) Add(v float64) {
 	m.M2 += d * (v - m.Mean)
 }
 
-// AddCycles folds one cycle measurement in.
-func (m *MeanVar) AddCycles(v arch.Cycles) { m.Add(float64(v)) }
-
-// Merge combines two accumulators as if every value had been added to
-// one.
-func (m MeanVar) Merge(o MeanVar) MeanVar {
-	if m.N == 0 {
-		return o
-	}
-	if o.N == 0 {
-		return m
-	}
-	n := m.N + o.N
-	d := o.Mean - m.Mean
-	return MeanVar{
-		N:    n,
-		Mean: m.Mean + d*float64(o.N)/float64(n),
-		M2:   m.M2 + o.M2 + d*d*float64(m.N)*float64(o.N)/float64(n),
-	}
-}
-
 // Variance returns the population variance (0 for N < 2).
 func (m MeanVar) Variance() float64 {
 	if m.N < 2 {
@@ -254,82 +180,3 @@ func (m MeanVar) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (m MeanVar) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// FixedHistogram is a mergeable histogram over a fixed bucket geometry
-// (unlike Histogram, whose buckets are fitted to one sample's range and
-// therefore cannot be combined). Values below Lo clamp into the first
-// bucket; values at or beyond the last edge clamp into the last.
-type FixedHistogram struct {
-	Lo     arch.Cycles
-	Width  arch.Cycles
-	Counts []int
-	Total  int
-}
-
-// NewFixedHistogram builds an empty histogram of n buckets of the given
-// width starting at lo.
-func NewFixedHistogram(lo, width arch.Cycles, n int) *FixedHistogram {
-	if n < 1 {
-		n = 1
-	}
-	if width < 1 {
-		width = 1
-	}
-	return &FixedHistogram{Lo: lo, Width: width, Counts: make([]int, n)}
-}
-
-// Add bins one measurement.
-func (h *FixedHistogram) Add(v arch.Cycles) {
-	i := 0
-	if v > h.Lo {
-		i = int((v - h.Lo) / h.Width)
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// Merge folds another histogram with identical geometry into this one.
-func (h *FixedHistogram) Merge(o *FixedHistogram) error {
-	if o.Lo != h.Lo || o.Width != h.Width || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging histograms with different geometry (lo %d/%d width %d/%d buckets %d/%d)",
-			h.Lo, o.Lo, h.Width, o.Width, len(h.Counts), len(o.Counts))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Total += o.Total
-	return nil
-}
-
-// ASCII renders the histogram like Histogram.ASCII.
-func (h *FixedHistogram) ASCII(barWidth int) string {
-	return (&Histogram{Lo: h.Lo, Width: h.Width, Counts: h.Counts, Total: h.Total}).ASCII(barWidth)
-}
-
-// BitErrorRate compares two bit strings of equal meaning.
-func BitErrorRate(got, want []bool) float64 {
-	n := len(want)
-	if len(got) > n {
-		n = len(got)
-	}
-	if n == 0 {
-		return 0
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		var g, w bool
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(want) {
-			w = want[i]
-		}
-		if g != w {
-			errs++
-		}
-	}
-	return float64(errs) / float64(n)
-}
