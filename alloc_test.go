@@ -43,7 +43,7 @@ func TestTreeOverflowAllocsConstant(t *testing.T) {
 	// child overflows its parent's minor.
 	tree := itree.NewVTree(itree.VTreeConfig{
 		Name: "SCT", Arities: []int{32, 16, 16, 16}, MinorBits: 1, CounterBlocks: 2 * 32 * 16 * 16,
-	}, crypto.New(crypto.Config{AESLatency: 20, HashLatency: 12}))
+	}, crypto.New(crypto.Config{HashLatency: 12}))
 	var contents [arch.BlockSize]byte
 	cb := arch.CounterBase.Block() + 7
 	overflowAllocs := func(name string, overflow func() *itree.Update) float64 {

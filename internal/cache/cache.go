@@ -15,24 +15,12 @@ import (
 	"metaleak/internal/arch"
 )
 
-// Policy selects the replacement policy for a cache.
-type Policy int
-
-const (
-	// LRU replaces the least recently used way.
-	LRU Policy = iota
-	// Random replaces a uniformly random way.
-	Random
-)
-
-// Config describes one cache instance.
+// Config describes one cache instance. Replacement is LRU.
 type Config struct {
 	Name       string      // for diagnostics ("L1", "meta", ...)
 	SizeBytes  int         // total capacity
 	Ways       int         // associativity
 	HitLatency arch.Cycles // access latency on hit
-	Policy     Policy
-	Seed       uint64 // RNG seed for Random policy
 }
 
 // Sets returns the number of sets implied by the configuration.
@@ -65,7 +53,6 @@ type Cache struct {
 	cfg   Config
 	sets  [][]line
 	tick  uint64
-	rng   *arch.RNG
 	stats Stats
 }
 
@@ -91,7 +78,7 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i] = make([]line, cfg.Ways)
 	}
-	return &Cache{cfg: cfg, sets: sets, rng: arch.NewRNG(cfg.Seed ^ 0xcafe)}
+	return &Cache{cfg: cfg, sets: sets}
 }
 
 // Config returns the cache's configuration.
@@ -157,7 +144,7 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 		c.sets[si][wi].dirty = c.sets[si][wi].dirty || dirty
 		return Eviction{}, false
 	}
-	// Choose a victim: an invalid way if one exists, else by policy.
+	// Choose a victim: an invalid way if one exists, else the LRU way.
 	victim := -1
 	for i := range c.sets[si] {
 		if !c.sets[si][i].valid {
@@ -168,15 +155,10 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 	var ev Eviction
 	evicted := false
 	if victim < 0 {
-		switch c.cfg.Policy {
-		case Random:
-			victim = c.rng.Intn(c.cfg.Ways)
-		default: // LRU
-			victim = 0
-			for i := 1; i < c.cfg.Ways; i++ {
-				if c.sets[si][i].lastUse < c.sets[si][victim].lastUse {
-					victim = i
-				}
+		victim = 0
+		for i := 1; i < c.cfg.Ways; i++ {
+			if c.sets[si][i].lastUse < c.sets[si][victim].lastUse {
+				victim = i
 			}
 		}
 		l := c.sets[si][victim]

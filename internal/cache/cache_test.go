@@ -7,13 +7,13 @@ import (
 	"metaleak/internal/arch"
 )
 
-func mk(t *testing.T, size, ways int, pol Policy) *Cache {
+func mk(t *testing.T, size, ways int) *Cache {
 	t.Helper()
-	return New(Config{Name: "t", SizeBytes: size, Ways: ways, HitLatency: 1, Policy: pol})
+	return New(Config{Name: "t", SizeBytes: size, Ways: ways, HitLatency: 1})
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := mk(t, 8*64, 2, LRU)
+	c := mk(t, 8*64, 2)
 	b := arch.BlockID(5)
 	if c.Access(b, false) {
 		t.Fatal("cold access hit")
@@ -29,7 +29,7 @@ func TestMissThenHit(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// 1 set, 2 ways.
-	c := mk(t, 2*64, 2, LRU)
+	c := mk(t, 2*64, 2)
 	a, b, d := arch.BlockID(0), arch.BlockID(1), arch.BlockID(2)
 	c.Insert(a, false)
 	c.Insert(b, false)
@@ -44,7 +44,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestDirtyEvictionReported(t *testing.T) {
-	c := mk(t, 1*64, 1, LRU)
+	c := mk(t, 1*64, 1)
 	c.Insert(arch.BlockID(1), true)
 	ev, had := c.Insert(arch.BlockID(2), false)
 	if !had || !ev.Dirty || ev.Block != 1 {
@@ -56,7 +56,7 @@ func TestDirtyEvictionReported(t *testing.T) {
 }
 
 func TestWriteMarksDirty(t *testing.T) {
-	c := mk(t, 1*64, 1, LRU)
+	c := mk(t, 1*64, 1)
 	c.Insert(arch.BlockID(1), false)
 	c.Access(arch.BlockID(1), true)
 	_, dirty := c.Invalidate(arch.BlockID(1))
@@ -66,7 +66,7 @@ func TestWriteMarksDirty(t *testing.T) {
 }
 
 func TestInsertExistingRefreshes(t *testing.T) {
-	c := mk(t, 2*64, 2, LRU)
+	c := mk(t, 2*64, 2)
 	c.Insert(arch.BlockID(0), false)
 	c.Insert(arch.BlockID(1), false)
 	// Re-inserting 0 must not evict and must refresh LRU position.
@@ -85,7 +85,7 @@ func TestInsertExistingRefreshes(t *testing.T) {
 }
 
 func TestSetIndexDistinctSets(t *testing.T) {
-	c := mk(t, 4*64, 1, LRU) // 4 sets, direct mapped
+	c := mk(t, 4*64, 1) // 4 sets, direct mapped
 	// Blocks 0..3 map to different sets; inserting all must evict none.
 	for i := 0; i < 4; i++ {
 		if _, had := c.Insert(arch.BlockID(i), false); had {
@@ -99,20 +99,10 @@ func TestSetIndexDistinctSets(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyStaysWithinWays(t *testing.T) {
-	c := mk(t, 4*64, 4, Random) // 1 set, 4 ways
-	for i := 0; i < 100; i++ {
-		c.Insert(arch.BlockID(i), false)
-		if n := c.Occupancy(arch.BlockID(0)); n > 4 {
-			t.Fatalf("occupancy %d exceeds ways", n)
-		}
-	}
-}
-
 // Property: occupancy never exceeds associativity and a just-inserted
 // block is always resident.
 func TestQuickOccupancyInvariant(t *testing.T) {
-	c := mk(t, 64*64, 8, LRU)
+	c := mk(t, 64*64, 8)
 	f := func(blocks []uint16) bool {
 		for _, raw := range blocks {
 			b := arch.BlockID(raw)
@@ -135,7 +125,7 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 // evicts the target under LRU — the primitive mEvict relies on.
 func TestQuickEvictionSetAlwaysEvicts(t *testing.T) {
 	f := func(seed uint8) bool {
-		c := mk(t, 128*64, 8, LRU) // 16 sets
+		c := mk(t, 128*64, 8) // 16 sets
 		target := arch.BlockID(seed)
 		c.Insert(target, false)
 		set := c.SetIndex(target)

@@ -179,7 +179,7 @@ func For(dp machine.DesignPoint) (Contract, error) {
 			obs = obs.With(CompSet)
 		}
 		switch dp.Tree {
-		case machine.TreeSCT, "":
+		case machine.TreeSCT:
 			// Split-counter trees expose the overflow burst (VUL-1) and
 			// the shared walk state.
 			req = req.With(CompOverflow, CompTree)
@@ -268,39 +268,27 @@ type Obs struct {
 }
 
 // Projector maps raw trace events onto a design point's observation
-// space. It replicates the machine's metadata address mapping (counter
-// block of a data block, metadata-cache set, DRAM bank hash) from the
-// design point alone, so a contract check needs no live machine.
+// space. It reads the machine's metadata address mapping (counter block
+// of a data block, metadata-cache set count, DRAM bank hash) from the
+// code machine.NewSystem builds with, so a contract check needs no live
+// machine and cannot drift from the one it judges.
 type Projector struct {
 	observable   Mask
 	insecure     bool
-	pageCounters bool // SC-style: one counter block per data page
-	sets         uint64
-	blocksPerRow uint64
-	banks        uint64
+	counterBlock func(arch.BlockID) arch.BlockID
+	sets         uint64 // a power of two: cache.New rejects anything else
+	dram         dram.Config
 }
 
 // NewProjector builds the projector for a design point under a
-// contract, applying the same defaults machine.NewSystem applies.
+// contract.
 func NewProjector(dp machine.DesignPoint, c Contract) Projector {
-	metaKB, ways := dp.MetaKB, dp.MetaWays
-	if metaKB == 0 {
-		metaKB = 256
-	}
-	if ways == 0 {
-		ways = 8
-	}
-	d := dp.DRAM
-	if d.Banks() == 0 {
-		d = dram.DefaultConfig()
-	}
 	return Projector{
 		observable:   c.Observable,
 		insecure:     dp.Insecure,
-		pageCounters: dp.Counter == machine.CounterSC || dp.Counter == "",
-		sets:         uint64(metaKB * 1024 / arch.BlockSize / ways),
-		blocksPerRow: uint64(d.RowBytes / arch.BlockSize),
-		banks:        uint64(d.Banks()),
+		counterBlock: machine.CounterBlockOf(dp),
+		sets:         uint64(machine.MetaCacheConfig(dp).Sets()),
+		dram:         machine.DRAMConfig(dp),
 	}
 }
 
@@ -312,10 +300,7 @@ func (p Projector) metaBlock(b arch.BlockID) arch.BlockID {
 	if p.insecure {
 		return b
 	}
-	if p.pageCounters {
-		return arch.CounterBase.Block() + arch.BlockID(b.Page())
-	}
-	return arch.CounterBase.Block() + arch.BlockID(uint64(b)/8)
+	return p.counterBlock(b)
 }
 
 // Project maps one event onto the observation space.
@@ -323,16 +308,10 @@ func (p Projector) Project(ev sim.TraceEvent) Obs {
 	var o Obs
 	mb := p.metaBlock(ev.Block)
 	if p.observable.Has(CompSet) {
-		if p.sets&(p.sets-1) == 0 {
-			o.Set = uint32(uint64(mb) & (p.sets - 1))
-		} else {
-			o.Set = uint32(uint64(mb) % p.sets)
-		}
+		o.Set = uint32(uint64(mb) & (p.sets - 1))
 	}
 	if p.observable.Has(CompBank) {
-		row := uint64(mb) / p.blocksPerRow
-		h := row ^ row>>5 ^ row>>10 ^ row>>17
-		o.Bank = uint16(h % p.banks)
+		o.Bank = uint16(p.dram.BankOf(mb))
 	}
 	if p.observable.Has(CompPath) {
 		o.Path = uint8(ev.Path)
@@ -446,27 +425,13 @@ func DiffObs(a, b []Obs) ObsDivergence {
 	return d
 }
 
-// maxTreeLevels returns the deepest stored tree level a design point
-// can fetch, mirroring machine.buildTree's arity defaults.
-func maxTreeLevels(dp machine.DesignPoint) int {
-	if n := len(dp.TreeArities); n > 0 {
-		return n
-	}
-	switch dp.Tree {
-	case machine.TreeSIT:
-		return 3
-	default: // SCT (and the zero default), HT
-		return 6
-	}
-}
-
 // Check validates a trace against the design point's structural
 // invariants — the shape every legal trace has regardless of secrets.
 // A violation means the simulator (or a fault injection) produced an
 // access no real machine of this configuration could produce: the
 // trace-level analogue of the zero-silent-escape tamper matrix.
 func Check(dp machine.DesignPoint, events []sim.TraceEvent) error {
-	maxLv := maxTreeLevels(dp)
+	maxLv := len(dp.TreeArities) // the tree's stored levels
 	for i, ev := range events {
 		fail := func(msg string, args ...any) error {
 			return fmt.Errorf("trace event %d (seq %d, block %#x): %s",

@@ -144,6 +144,30 @@ func TestProjectionMatchesMachine(t *testing.T) {
 	if pm.metaBlock(arch.BlockID(16)) != arch.CounterBase.Block()+2 {
 		t.Fatal("MoC counter block is not 8-counters-per-block")
 	}
+
+	// Against live machines: every design's projected set and bank are
+	// the metadata cache's and the DRAM's for the scheme's counter block.
+	gc := machine.ConfigSCT()
+	gc.Counter = machine.CounterGC
+	small := machine.ConfigHT()
+	small.MetaKB = 16
+	for _, dp := range []machine.DesignPoint{machine.ConfigSCT(), small, machine.ConfigSGX(), gc} {
+		dp.SecurePages = 1 << 12
+		sys := machine.NewSystem(dp)
+		c, err := For(dp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewProjector(dp, c)
+		for b := arch.BlockID(0); b < arch.BlockID(dp.SecurePages*arch.BlocksPerPage); b += 977 {
+			cb := sys.Ctrl.Counters().CounterBlock(b)
+			o := p.Project(ev(b))
+			if int(o.Set) != sys.Ctrl.Meta().SetIndex(cb) || int(o.Bank) != sys.Ctrl.DRAM().BankOf(cb) {
+				t.Fatalf("%s block %#x: projected set %d bank %d, machine set %d bank %d", dp.Name, uint64(b),
+					o.Set, o.Bank, sys.Ctrl.Meta().SetIndex(cb), sys.Ctrl.DRAM().BankOf(cb))
+			}
+		}
+	}
 }
 
 func TestObserveFiltersCacheHits(t *testing.T) {

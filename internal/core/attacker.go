@@ -35,7 +35,6 @@ type Attacker struct {
 	// placement directly and can single-step the victim.
 	Privileged bool
 
-	rng     *arch.RNG
 	scratch []arch.BlockID // own blocks for write-queue flushing
 }
 
@@ -46,7 +45,6 @@ func NewAttacker(sys *sim.System, mc *secmem.Controller, coreID int, privileged 
 		MC:         mc,
 		Core:       coreID,
 		Privileged: privileged,
-		rng:        arch.NewRNG(uint64(coreID)*977 + 13),
 	}
 }
 

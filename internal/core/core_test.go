@@ -27,7 +27,7 @@ func newRig(t *testing.T, seed uint64, noiseInterval int) *rig {
 
 func newRigTree(t *testing.T, seed uint64, noiseInterval int, kind string) *rig {
 	t.Helper()
-	engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
+	engCfg := crypto.Config{HashLatency: 12}
 	h := crypto.New(engCfg)
 	pages := 1 << 16
 	var tree itree.Tree
@@ -54,17 +54,16 @@ func newRigTree(t *testing.T, seed uint64, noiseInterval int, kind string) *rig 
 	}
 	mc := secmem.New(secmem.Config{
 		DRAM:          dram.DefaultConfig(),
-		Meta:          cache.Config{Name: "meta", SizeBytes: 256 * 1024, Ways: 8, HitLatency: 2, Seed: seed},
+		Meta:          cache.Config{Name: "meta", SizeBytes: 256 * 1024, Ways: 8, HitLatency: 2},
 		Engine:        engCfg,
 		QueueDelay:    10,
-		MACLatency:    30,
 		TreeStepDelay: step,
 	}, scheme, tree)
 	sys := sim.New(sim.Config{
 		Cores:         4,
-		L1:            cache.Config{Name: "L1", SizeBytes: 32 * 1024, Ways: 8, HitLatency: 1, Seed: seed + 1},
-		L2:            cache.Config{Name: "L2", SizeBytes: 1 << 20, Ways: 4, HitLatency: 10, Seed: seed + 2},
-		L3:            cache.Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, HitLatency: 29, Seed: seed + 3},
+		L1:            cache.Config{Name: "L1", SizeBytes: 32 * 1024, Ways: 8, HitLatency: 1},
+		L2:            cache.Config{Name: "L2", SizeBytes: 1 << 20, Ways: 4, HitLatency: 10},
+		L3:            cache.Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, HitLatency: 29},
 		SecurePages:   pages,
 		NoiseInterval: arch.Cycles(noiseInterval),
 		NoisePages:    256,

@@ -37,7 +37,7 @@ func BenchmarkHashNode(b *testing.B) {
 }
 
 func BenchmarkFastModeEncrypt(b *testing.B) {
-	e := New(Config{AESLatency: 20, HashLatency: 12, Fast: true})
+	e := New(Config{HashLatency: 12, Fast: true})
 	var p Block
 	b.SetBytes(arch.BlockSize)
 	b.ResetTimer()

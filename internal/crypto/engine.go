@@ -25,11 +25,11 @@ type Block [arch.BlockSize]byte
 // chunks per 64 B block at the AES-128 chunk size of 16 B.
 const chunksPerBlock = arch.BlockSize / 16
 
+// AESLatency is the modelled latency of one OTP generation (Table I).
+const AESLatency arch.Cycles = 20
+
 // Config parameterizes the engine.
 type Config struct {
-	Key         []byte      // 16-byte AES key; nil selects a fixed default
-	MACKey      []byte      // 16-byte GHASH subkey source; nil = derive from Key
-	AESLatency  arch.Cycles // Table I: 20 cycles
 	HashLatency arch.Cycles // latency of one node-hash / MAC operation
 	Fast        bool        // replace AES/GHASH with fast keyed mixers (for very long benches)
 }
@@ -53,17 +53,9 @@ type Engine struct {
 	seed [16]byte
 }
 
-// New builds an engine. It panics on an invalid key length, which is a
-// configuration error, not a runtime condition.
+// New builds an engine under the machine's fixed AES key.
 func New(cfg Config) *Engine {
-	key := cfg.Key
-	if key == nil {
-		key = []byte("metaleak-aes-key")
-	}
-	if len(key) != 16 {
-		panic("crypto: AES key must be 16 bytes")
-	}
-	blk, err := aes.NewCipher(key)
+	blk, err := aes.NewCipher([]byte("metaleak-aes-key"))
 	if err != nil {
 		panic("crypto: " + err.Error())
 	}
@@ -71,21 +63,12 @@ func New(cfg Config) *Engine {
 	// Derive the GHASH subkey H = AES_k(0^128), as in GCM.
 	var zero, hb [16]byte
 	blk.Encrypt(hb[:], zero[:])
-	if cfg.MACKey != nil {
-		if len(cfg.MACKey) != 16 {
-			panic("crypto: MAC key must be 16 bytes")
-		}
-		copy(hb[:], cfg.MACKey)
-	}
 	e.h[0] = binary.BigEndian.Uint64(hb[0:8])
 	e.h[1] = binary.BigEndian.Uint64(hb[8:16])
 	e.tbl.init(e.h)
 	e.fastK = e.h[0] ^ e.h[1] | 1
 	return e
 }
-
-// AESLatency returns the modelled latency of one OTP generation.
-func (e *Engine) AESLatency() arch.Cycles { return e.cfg.AESLatency }
 
 // HashLatency returns the modelled latency of one MAC or node hash.
 func (e *Engine) HashLatency() arch.Cycles { return e.cfg.HashLatency }

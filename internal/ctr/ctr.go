@@ -70,6 +70,18 @@ type Scheme interface {
 // counterBase is CounterBase expressed as a BlockID.
 func counterBase() arch.BlockID { return arch.CounterBase.Block() }
 
+// PageCounterBlock is SC's counter-block mapping: one counter block per
+// data page.
+func PageCounterBlock(b arch.BlockID) arch.BlockID {
+	return counterBase() + arch.BlockID(b.Page())
+}
+
+// PackedCounterBlock is MoC's and GC's counter-block mapping: eight
+// 64-bit counter slots per block.
+func PackedCounterBlock(b arch.BlockID) arch.BlockID {
+	return counterBase() + arch.BlockID(uint64(b)/ctrsPerBlock)
+}
+
 // ---------------------------------------------------------------------------
 // Split Counter (SC): one 64-bit major counter and 64 7-bit minor counters
 // per data page, packed into exactly one 64-byte counter block (Table I).
@@ -123,9 +135,7 @@ func (s *SC) page(p arch.PageID) *pageCounters {
 }
 
 // CounterBlock implements Scheme: one counter block per data page.
-func (s *SC) CounterBlock(b arch.BlockID) arch.BlockID {
-	return counterBase() + arch.BlockID(b.Page())
-}
+func (s *SC) CounterBlock(b arch.BlockID) arch.BlockID { return PageCounterBlock(b) }
 
 // PageOfCounterBlock inverts CounterBlock.
 func (s *SC) PageOfCounterBlock(cb arch.BlockID) arch.PageID {
@@ -278,9 +288,7 @@ func (m *MoC) max() uint64 { return 1<<m.cfg.Bits - 1 }
 const ctrsPerBlock = arch.BlockSize / 8
 
 // CounterBlock implements Scheme: eight 64-bit counter slots per block.
-func (m *MoC) CounterBlock(b arch.BlockID) arch.BlockID {
-	return counterBase() + arch.BlockID(uint64(b)/ctrsPerBlock)
-}
+func (m *MoC) CounterBlock(b arch.BlockID) arch.BlockID { return PackedCounterBlock(b) }
 
 // DataBlocksOf implements Scheme.
 func (m *MoC) DataBlocksOf(cb arch.BlockID) []arch.BlockID {
@@ -401,9 +409,7 @@ func (g *GC) Name() string { return "GC" }
 func (g *GC) max() uint64 { return 1<<g.cfg.Bits - 1 }
 
 // CounterBlock implements Scheme: snapshots are stored like MoC counters.
-func (g *GC) CounterBlock(b arch.BlockID) arch.BlockID {
-	return counterBase() + arch.BlockID(uint64(b)/ctrsPerBlock)
-}
+func (g *GC) CounterBlock(b arch.BlockID) arch.BlockID { return PackedCounterBlock(b) }
 
 // DataBlocksOf implements Scheme.
 func (g *GC) DataBlocksOf(cb arch.BlockID) []arch.BlockID {

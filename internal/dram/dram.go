@@ -120,23 +120,27 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Stats returns a snapshot of the event counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 
-func (d *DRAM) blocksPerRow() uint64 { return uint64(d.cfg.RowBytes / arch.BlockSize) }
+func (c *Config) blocksPerRow() uint64 { return uint64(c.RowBytes / arch.BlockSize) }
 
 // BankOf returns the bank index a block maps to. Row-granular
 // interleaving with an XOR-based bank hash (standard in modern memory
 // controllers) spreads nearby metadata regions across banks, while the 64
 // blocks of a page still share a bank and (typically) a row — which is
-// what makes re-encryption bursts serialize behind one bank.
-func (d *DRAM) BankOf(b arch.BlockID) int {
-	row := uint64(b) / d.blocksPerRow()
+// what makes re-encryption bursts serialize behind one bank. The pointer
+// receiver keeps the DRAM hot path from copying the config per call.
+func (c *Config) BankOf(b arch.BlockID) int {
+	row := uint64(b) / c.blocksPerRow()
 	h := row ^ row>>5 ^ row>>10 ^ row>>17
-	return int(h % uint64(d.cfg.Banks()))
+	return int(h % uint64(c.Banks()))
 }
+
+// BankOf returns the bank index a block maps to (Config.BankOf).
+func (d *DRAM) BankOf(b arch.BlockID) int { return d.cfg.BankOf(b) }
 
 // RowOf returns the identity of the row a block maps to (used only for
 // open-row comparisons, so the global row index serves).
 func (d *DRAM) RowOf(b arch.BlockID) int64 {
-	return int64(uint64(b) / d.blocksPerRow())
+	return int64(uint64(b) / d.cfg.blocksPerRow())
 }
 
 // SameRow reports whether two blocks share a physical DRAM row (same
@@ -258,7 +262,7 @@ func (d *DRAM) maybeRefresh(now arch.Cycles) arch.Cycles {
 // accesses would do, one block at a time.
 func (d *DRAM) Background(now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
 	hit := max(d.cfg.RowHit, occupancy)
-	perRow := arch.BlockID(d.blocksPerRow())
+	perRow := arch.BlockID(d.cfg.blocksPerRow())
 	for n > 0 {
 		k := min(n, int(perRow-first%perRow))
 		//metalint:allow cycleleak fire-and-forget by design: the burst's completion time is invisible to the issuer, only bank occupancy matters

@@ -287,7 +287,7 @@ func TestBackgroundRunMatchesPerBlock(t *testing.T) {
 }
 
 func firstBlockInBank(d *DRAM, bank int) arch.BlockID {
-	for b := arch.BlockID(0); ; b += arch.BlockID(d.blocksPerRow()) {
+	for b := arch.BlockID(0); ; b += arch.BlockID(d.cfg.blocksPerRow()) {
 		if d.BankOf(b) == bank {
 			return b
 		}

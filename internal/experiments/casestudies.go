@@ -69,7 +69,6 @@ func SpecFig15(o Options) *Spec {
 			dp := machine.ConfigSCT()
 			dp.Seed = o.Seed + 15 + uint64(i)
 			dp.NoiseInterval = 30000
-			dp.NoisePages = 1024
 			sys := machine.NewSystem(dp)
 			rec, tr, original, recovered, oracle, err := jpegAttackT(sys, kind, o.ImageSize)
 			if err != nil {
@@ -256,7 +255,6 @@ func SpecFig16(o Options) *Spec {
 				sgx := machine.ConfigSGX()
 				sgx.Seed = o.Seed + 16
 				sgx.NoiseInterval = 15000
-				sgx.NoisePages = 1024
 				// SGX-Step on hardware misses/doubles a few percent of single
 				// steps; the jitter knob reproduces that imprecision
 				// (EXPERIMENTS.md).
@@ -274,7 +272,6 @@ func SpecFig16(o Options) *Spec {
 				sct := machine.ConfigSCT()
 				sct.Seed = o.Seed + 162
 				sct.NoiseInterval = 30000
-				sct.NoisePages = 1024
 				acc, n, err := rsaAttack(machine.NewSystem(sct), 0, o.ExpBits, o.Seed+163, 0.01, 0.01)
 				if err != nil {
 					return nil, err
@@ -313,7 +310,6 @@ func fig17(o Options) (*Result, error) {
 	dp := machine.ConfigSGX()
 	dp.Seed = o.Seed + 17
 	dp.NoiseInterval = 9000
-	dp.NoisePages = 1024
 	sys := machine.NewSystem(dp)
 	attacker := core.NewAttacker(sys.System, sys.Ctrl, 0, true)
 	frames, err := attacker.PlaceVictimPages(1, 2, 1)

@@ -35,7 +35,6 @@ func SpecFig11(o Options) *Spec {
 	run := func(dp machine.DesignPoint, level int, noise arch.Cycles, seed uint64) (any, error) {
 		dp.Seed = seed
 		dp.NoiseInterval = noise
-		dp.NoisePages = 1024 // wide working set: every metadata cache set sees traffic
 		sys := machine.NewSystem(dp)
 		trojan, spy := attackerPair(sys)
 		ch, err := core.NewCovertT(trojan, spy, level)

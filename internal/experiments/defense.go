@@ -344,7 +344,6 @@ func SpecAblationNoise(o Options) *Spec {
 			dp.Seed = o.Seed + 99
 			dp.SecurePages = 1 << 16
 			dp.NoiseInterval = interval
-			dp.NoisePages = 1024
 			sys := machine.NewSystem(dp)
 			victimPage := sys.AllocPage(1)
 			attacker := core.NewAttacker(sys.System, sys.Ctrl, 0, false)

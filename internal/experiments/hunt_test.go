@@ -200,3 +200,46 @@ func TestHuntFingerprintCoversIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestHuntNoiseTakesEffect: a NoiseInterval in Set reaches the cell's
+// machine. Before the design points carried NoisePages, the interval
+// alone ran no noise and the grid printed the noiseless rows. (Today
+// the noise process owns the low frames hunt.Run claims for its victim,
+// so each such cell fails loudly.)
+func TestHuntNoiseTakesEffect(t *testing.T) {
+	axes := huntTestAxes()
+	axes.Configs = []string{"sct"}
+	quiet, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes.Set = []string{"NoiseInterval=2000"}
+	noisy, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range quiet {
+		if reflect.DeepEqual(quiet[i], noisy[i]) {
+			t.Errorf("cell %d: NoiseInterval=2000 left the row unchanged", i)
+		}
+	}
+}
+
+// TestHuntZeroFieldsFail: a zero or empty structural field set through
+// Set fails its cell, with the error in the row, instead of running a
+// defaulted machine.
+func TestHuntZeroFieldsFail(t *testing.T) {
+	for _, set := range []string{"Cores=0", "SecurePages=0", "MetaKB=0", "TreeArities=", "Counter=", "Tree="} {
+		axes := huntTestAxes()
+		axes.Configs = []string{"sct"}
+		axes.Programs, axes.Pairs = 1, 1
+		axes.Set = []string{set}
+		rows, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", set, err)
+		}
+		if len(rows) != 1 || rows[0].Err == "" || rows[0].ObsA != 0 {
+			t.Errorf("%s: row %+v, want a failed cell", set, rows)
+		}
+	}
+}

@@ -34,7 +34,7 @@ func table1(o Options) (*Result, error) {
 		}
 		tree := fmt.Sprintf("%s, arities %v", dp.Tree, dp.TreeArities)
 		region := fmt.Sprintf("%d MiB", dp.SecurePages*arch.PageSize/(1<<20))
-		meta := fmt.Sprintf("%d KiB, %d-way", dp.MetaKB, dp.MetaWays)
+		meta := fmt.Sprintf("%d KiB, %d-way", dp.MetaKB, machine.MetaCacheConfig(dp).Ways)
 		return []string{dp.Name, enc, tree, region, meta}
 	}
 	for _, dp := range []machine.DesignPoint{machine.ConfigSCT(), machine.ConfigHT(), machine.ConfigSGX()} {

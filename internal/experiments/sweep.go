@@ -164,13 +164,12 @@ func (r SweepRow) LongRecords() [][]string {
 	}
 }
 
-// Validate rejects axis values the machine builder would silently
-// normalize to a different design point: minor width 0 (ctr.NewSC and
-// buildTree both remap it to the 7-bit Table I default) and
-// non-positive metadata cache sizes (NewSystem remaps to 256 KiB).
-// Without this check the grid emits rows labeled as axis variation that
-// ran byte-identical machines. Negative Seeds and Bits are rejected for
-// the same reason; zero selects the default.
+// Validate rejects axis values that cannot describe the machine their
+// rows would be labeled with: minor width 0 (ctr.NewSC remaps it to the
+// 7-bit Table I default, so an HT cell would run 7-bit counters) and
+// non-positive metadata cache sizes (NewSystem fails every such cell).
+// Negative Seeds and Bits are rejected too, since normalization would
+// silently replace them; zero selects the default.
 func (a SweepAxes) Validate() error {
 	if a.Seeds < 0 {
 		return fmt.Errorf("sweep: %d seeds would be silently normalized to 1; pass a positive count (0 selects the default)", a.Seeds)
@@ -188,7 +187,7 @@ func (a SweepAxes) Validate() error {
 	}
 	for _, kb := range a.MetaKB {
 		if kb <= 0 {
-			return fmt.Errorf("sweep: metadata cache size %d KiB would be silently normalized to the 256 KiB default; pass a positive size", kb)
+			return fmt.Errorf("sweep: metadata cache size %d KiB is not a cache; pass a positive size", kb)
 		}
 	}
 	return nil
@@ -273,9 +272,6 @@ func runSweepCell(c SweepCell, bits int, ovs []machine.FieldOverride) (SweepRow,
 	}
 	base.MetaKB = c.MetaKB
 	base.NoiseInterval = c.Noise
-	if c.Noise > 0 && base.NoisePages == 0 {
-		base.NoisePages = 1024
-	}
 
 	// Covert-channel probe.
 	dp := base

@@ -166,13 +166,13 @@ func TestSweepOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axes.Set = []string{"QueueDelay=80"}
+	axes.Set = []string{"SGX=true"}
 	slow, err := Sweep(context.Background(), axes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain[0].CyclesPerBit == slow[0].CyclesPerBit {
-		t.Fatal("QueueDelay override did not reach the cell's machine")
+		t.Fatal("SGX override did not reach the cell's machine")
 	}
 
 	axes.Set = []string{"NoSuchField=1"}

@@ -11,10 +11,6 @@ import (
 type HTreeConfig struct {
 	Arities       []int // Table I: six levels of arity 8
 	CounterBlocks int
-	// InitCounterBlock is the initial (pre-first-write) serialization of a
-	// counter block; all schemes in this repository zero-initialize, so
-	// the zero value is correct.
-	InitCounterBlock [arch.BlockSize]byte
 }
 
 // hnode is one hash-tree node block: one hash per child. Nodes materialize
@@ -60,7 +56,10 @@ func NewHTree(cfg HTreeConfig, h Hasher) *HTree {
 		t.nodes[i] = make(map[int]*hnode)
 	}
 	t.initHash = make([]uint64, len(cfg.Arities)+1)
-	t.initHash[0] = h.HashBytes(cfg.InitCounterBlock[:])
+	// Every counter scheme zero-initializes, so a fresh counter block
+	// serializes to all zeroes.
+	var initCB [arch.BlockSize]byte
+	t.initHash[0] = h.HashBytes(initCB[:])
 	for l := 0; l < len(cfg.Arities); l++ {
 		n := &hnode{hashes: make([]uint64, cfg.Arities[l])}
 		for i := range n.hashes {

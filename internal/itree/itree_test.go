@@ -9,7 +9,7 @@ import (
 )
 
 func hasher() Hasher {
-	return crypto.New(crypto.Config{AESLatency: 20, HashLatency: 12})
+	return crypto.New(crypto.Config{HashLatency: 12})
 }
 
 func cb(i int) arch.BlockID { return arch.CounterBase.Block() + arch.BlockID(i) }

@@ -12,7 +12,7 @@ import (
 // buildScheme constructs the encryption counter scheme for a design point.
 func buildScheme(dp DesignPoint) ctr.Scheme {
 	switch dp.Counter {
-	case CounterSC, "":
+	case CounterSC:
 		return ctr.NewSC(ctr.SCConfig{MinorBits: dp.MinorBits})
 	case CounterMoC:
 		return ctr.NewMoC(ctr.MoCConfig{Bits: dp.MoCBits})
@@ -23,63 +23,48 @@ func buildScheme(dp DesignPoint) ctr.Scheme {
 	}
 }
 
+// CounterBlockOf returns the design point's counter-block mapping: the
+// metadata block holding a data block's encryption counter, as the
+// scheme buildScheme builds computes it. The contract projector reads
+// the mapping from here.
+func CounterBlockOf(dp DesignPoint) func(arch.BlockID) arch.BlockID {
+	if dp.Counter == CounterSC {
+		return ctr.PageCounterBlock
+	}
+	return ctr.PackedCounterBlock
+}
+
 // counterBlocksFor computes how many counter blocks the tree must cover
 // for the design point's secure region.
 func counterBlocksFor(dp DesignPoint) int {
-	dataBlocks := dp.SecurePages * arch.BlocksPerPage
-	switch dp.Counter {
-	case CounterSC, "":
+	if dp.Counter == CounterSC {
 		return dp.SecurePages // one counter block per page
-	default:
-		return dataBlocks / 8 // eight 64-bit counters/snapshots per block
 	}
+	return dp.SecurePages * arch.BlocksPerPage / 8 // eight 64-bit counters/snapshots per block
 }
 
 // buildTree constructs the integrity tree for a design point. The hasher
 // is a standalone engine with the same configuration the controller will
 // use, so tree hashes and controller hashes agree.
-func buildTree(dp DesignPoint, _ ctr.Scheme) itree.Tree {
-	h := crypto.New(crypto.Config{AESLatency: 20, HashLatency: dp.HashLat, Fast: dp.FastCrypto})
+func buildTree(dp DesignPoint, hashLat arch.Cycles) itree.Tree {
+	h := crypto.New(crypto.Config{HashLatency: hashLat, Fast: dp.FastCrypto})
 	nCB := counterBlocksFor(dp)
+	var cfg itree.VTreeConfig
 	switch dp.Tree {
-	case TreeSCT, "":
-		ar := dp.TreeArities
-		if ar == nil {
-			ar = []int{32, 16, 16, 16, 16, 16}
-		}
-		bits := dp.MinorBits
-		if bits == 0 {
-			bits = 7
-		}
-		cfg := itree.VTreeConfig{
-			Name: "SCT", Arities: ar, MinorBits: bits, CounterBlocks: nCB,
-		}
-		if dp.IsolatedDomains > 0 {
-			return itree.NewPartitioned(cfg, dp.IsolatedDomains, h)
-		}
-		return itree.NewVTree(cfg, h)
+	case TreeSCT:
+		cfg = itree.VTreeConfig{Name: "SCT", Arities: dp.TreeArities, MinorBits: dp.MinorBits, CounterBlocks: nCB}
 	case TreeSIT:
-		ar := dp.TreeArities
-		if ar == nil {
-			ar = []int{8, 8, 8}
-		}
-		cfg := itree.VTreeConfig{
-			Name: "SIT", Arities: ar, MinorBits: 56, CounterBlocks: nCB,
-		}
-		if dp.IsolatedDomains > 0 {
-			return itree.NewPartitioned(cfg, dp.IsolatedDomains, h)
-		}
-		return itree.NewVTree(cfg, h)
+		cfg = itree.VTreeConfig{Name: "SIT", Arities: dp.TreeArities, MinorBits: 56, CounterBlocks: nCB}
 	case TreeHT:
 		if dp.IsolatedDomains > 0 {
 			panic("machine: isolated domains require a version tree (SCT/SIT)")
 		}
-		ar := dp.TreeArities
-		if ar == nil {
-			ar = []int{8, 8, 8, 8, 8, 8}
-		}
-		return itree.NewHTree(itree.HTreeConfig{Arities: ar, CounterBlocks: nCB}, h)
+		return itree.NewHTree(itree.HTreeConfig{Arities: dp.TreeArities, CounterBlocks: nCB}, h)
 	default:
 		panic(fmt.Sprintf("machine: unknown tree %q", dp.Tree))
 	}
+	if dp.IsolatedDomains > 0 {
+		return itree.NewPartitioned(cfg, dp.IsolatedDomains, h)
+	}
+	return itree.NewVTree(cfg, h)
 }

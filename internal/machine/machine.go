@@ -52,14 +52,19 @@ const (
 )
 
 // DesignPoint describes one complete secure-processor configuration — the
-// simulator equivalent of a row in Table I.
+// simulator equivalent of a row in Table I. Start from ConfigSCT,
+// ConfigHT or ConfigSGX: NewSystem reads every field as given, so a zero
+// Cores, SecurePages or MetaKB, an empty TreeArities, Counter or Tree,
+// or a NoiseInterval without NoisePages fails loudly instead of building
+// some other machine. The latency calibration is not a field; SGX
+// selects it (DESIGN.md §4).
 type DesignPoint struct {
 	Name string
 
 	Counter     CounterKind
-	MinorBits   uint // SC/SCT minor width (default 7)
-	MoCBits     uint // MoC counter width (default 56)
-	GCBits      uint // GC counter width (default 32)
+	MinorBits   uint // SC/SCT minor width (Table I: 7)
+	MoCBits     uint // MoC counter width (0: ctr's 56)
+	GCBits      uint // GC counter width (0: ctr's 32)
 	Tree        TreeKind
 	TreeArities []int // stored-level fan-ins, leaf first
 
@@ -67,13 +72,13 @@ type DesignPoint struct {
 
 	Cores int
 	// NoiseInterval enables background traffic: one jittered burst roughly
-	// every this many cycles (0 = off).
+	// every this many cycles (0 = off) over NoisePages pages.
 	NoiseInterval arch.Cycles
 	NoisePages    int
 	Seed          uint64
 
-	// SGX marks the SGX calibration (slower EPC path latencies, privileged
-	// attacker model in the attack layer).
+	// SGX selects the SGX calibration (slower EPC path latencies, DESIGN.md
+	// §4) and the privileged attacker model in the attack layer.
 	SGX bool
 
 	// Insecure builds the unprotected baseline: no encryption, MAC,
@@ -117,15 +122,7 @@ type DesignPoint struct {
 	// panics on a malformed spec; the CLI validates specs up front.
 	FaultSpec string
 
-	// Latency model knobs (zero values select the calibrated defaults).
-	QueueDelay arch.Cycles
-	MACLatency arch.Cycles
-	MetaHit    arch.Cycles
-	HashLat    arch.Cycles
-	TreeStep   arch.Cycles
-	DRAM       dram.Config
-	MetaKB     int // metadata cache size (Table I: 256 KB)
-	MetaWays   int
+	MetaKB int // metadata cache size (Table I: 256 KB)
 }
 
 // ConfigSCT returns the paper's primary simulated design: split-counter
@@ -139,8 +136,8 @@ func ConfigSCT() DesignPoint {
 		TreeArities: []int{32, 16, 16, 16, 16, 16},
 		SecurePages: 1 << 24, // 64 GiB of protected memory
 		Cores:       4,
+		NoisePages:  1024,
 		MetaKB:      256,
-		MetaWays:    8,
 	}
 }
 
@@ -153,9 +150,9 @@ func ConfigHT() DesignPoint {
 	return dp
 }
 
-// ConfigSGX returns the SGX hardware calibration: 56-bit monolithic
+// ConfigSGX returns the SGX hardware configuration: 56-bit monolithic
 // encryption counters and the 8-ary 4-level SGX integrity tree over a
-// 128 MiB EPC, with the slower measured latency bands of Fig. 7.
+// 128 MiB EPC. SGX selects the slower measured latency bands of Fig. 7.
 func ConfigSGX() DesignPoint {
 	return DesignPoint{
 		Name:        "SGX",
@@ -165,22 +162,51 @@ func ConfigSGX() DesignPoint {
 		TreeArities: []int{8, 8, 8},
 		SecurePages: 1 << 15, // 128 MiB EPC
 		Cores:       4,
+		NoisePages:  1024,
 		SGX:         true,
 		MetaKB:      64,
-		MetaWays:    8,
-		QueueDelay:  20,
-		MACLatency:  30,
-		HashLat:     40,
-		DRAM: func() dram.Config {
-			d := dram.DefaultConfig()
-			d.RowHit = 50
-			d.RowMiss = 70
-			d.RowConflict = 100
-			d.WriteLat = 50
-			return d
-		}(),
 	}
 }
+
+// calibration is one platform's latency model: every cycle count of the
+// machine that differs between the simulated designs of Table I and the
+// SGX hardware bands of Fig. 7 (DESIGN.md §4).
+type calibration struct {
+	queueDelay arch.Cycles // memory-controller read-queue service time
+	hashLat    arch.Cycles // one MAC or tree-node hash
+	treeStep   arch.Cycles // per-level lag of the tree walk (Fig. 6/7 steps)
+	l3Hit      arch.Cycles
+	dram       dram.Config
+}
+
+// calibrationOf returns the SGX calibration when sgx is set, else the
+// simulated one.
+func calibrationOf(sgx bool) calibration {
+	if !sgx {
+		return calibration{queueDelay: 10, hashLat: 12, treeStep: 30, l3Hit: 29, dram: dram.DefaultConfig()}
+	}
+	d := dram.DefaultConfig()
+	d.RowHit, d.RowMiss, d.RowConflict, d.WriteLat = 50, 70, 100, 50
+	return calibration{queueDelay: 20, hashLat: 40, treeStep: 80, l3Hit: 49, dram: d}
+}
+
+// The metadata cache's associativity and hit latency are the same on
+// every platform.
+const (
+	metaWays             = 8
+	metaHit  arch.Cycles = 2
+)
+
+// MetaCacheConfig returns the set-associative metadata cache NewSystem
+// builds for a design point (a RandomizedMeta MIRAGE holds as many
+// blocks). The contract projector reads its set count from here.
+func MetaCacheConfig(dp DesignPoint) cache.Config {
+	return cache.Config{Name: "meta", SizeBytes: dp.MetaKB * 1024, Ways: metaWays, HitLatency: metaHit}
+}
+
+// DRAMConfig returns the memory system NewSystem builds for a design
+// point; the contract projector reads its bank hash from here.
+func DRAMConfig(dp DesignPoint) dram.Config { return calibrationOf(dp.SGX).dram }
 
 // System is the assembled machine: the simulator plus handles to its
 // parts and the design point that built it.
@@ -192,60 +218,16 @@ type System struct {
 
 // NewSystem builds the simulated secure processor for a design point.
 func NewSystem(dp DesignPoint) *System {
-	if dp.Cores == 0 {
-		dp.Cores = 4
-	}
-	if dp.SecurePages == 0 {
-		dp.SecurePages = 1 << 20
-	}
-	if dp.MetaKB == 0 {
-		dp.MetaKB = 256
-	}
-	if dp.MetaWays == 0 {
-		dp.MetaWays = 8
-	}
-	if dp.QueueDelay == 0 {
-		dp.QueueDelay = 10
-	}
-	if dp.MACLatency == 0 {
-		dp.MACLatency = 30
-	}
-	if dp.MetaHit == 0 {
-		dp.MetaHit = 2
-	}
-	if dp.HashLat == 0 {
-		dp.HashLat = 12
-	}
-	if dp.TreeStep == 0 {
-		dp.TreeStep = 30
-		if dp.SGX {
-			dp.TreeStep = 80
-		}
-	}
-	if dp.DRAM.Banks() == 0 {
-		dp.DRAM = dram.DefaultConfig()
-	}
-
+	cal := calibrationOf(dp.SGX)
 	scheme := buildScheme(dp)
-	tree := buildTree(dp, scheme)
+	tree := buildTree(dp, cal.hashLat)
 
 	mcCfg := secmem.Config{
-		DRAM: dp.DRAM,
-		Meta: cache.Config{
-			Name:       "meta",
-			SizeBytes:  dp.MetaKB * 1024,
-			Ways:       dp.MetaWays,
-			HitLatency: dp.MetaHit,
-			Seed:       dp.Seed + 77,
-		},
-		Engine: crypto.Config{
-			AESLatency:  20,
-			HashLatency: dp.HashLat,
-			Fast:        dp.FastCrypto,
-		},
-		QueueDelay:    dp.QueueDelay,
-		MACLatency:    dp.MACLatency,
-		TreeStepDelay: dp.TreeStep,
+		DRAM:          cal.dram,
+		Meta:          MetaCacheConfig(dp),
+		Engine:        crypto.Config{HashLatency: cal.hashLat, Fast: dp.FastCrypto},
+		QueueDelay:    cal.queueDelay,
+		TreeStepDelay: cal.treeStep,
 		Plain:         dp.Insecure,
 	}
 	if dp.RandomizedMeta {
@@ -253,8 +235,6 @@ func NewSystem(dp DesignPoint) *System {
 		mcCfg.RandomizedMeta = &mirage.Config{
 			DataBlocks: blocks,
 			Sets:       blocks / 16, // two skews of 8 base ways
-			BaseWays:   8,
-			ExtraWays:  6,
 			Seed:       dp.Seed + 99,
 		}
 	}
@@ -265,26 +245,21 @@ func NewSystem(dp DesignPoint) *System {
 		}
 	}
 
-	l3Hit := arch.Cycles(29)
-	if dp.SGX {
-		l3Hit = 49
-	}
 	domainPages := 0
 	if dp.IsolatedDomains > 0 {
 		domainPages = dp.SecurePages / dp.IsolatedDomains
 	}
 	simCfg := sim.Config{
-		Cores:              dp.Cores,
-		L1:                 cache.Config{Name: "L1", SizeBytes: 32 * 1024, Ways: 8, HitLatency: 1},
-		L2:                 cache.Config{Name: "L2", SizeBytes: 1024 * 1024, Ways: 4, HitLatency: 10},
-		L3:                 cache.Config{Name: "L3", SizeBytes: 8 * 1024 * 1024, Ways: 16, HitLatency: l3Hit},
-		SecurePages:        dp.SecurePages,
-		DomainPages:        domainPages,
-		SocketOf:           dp.SocketOf,
-		CrossSocketLatency: 120,
-		NoiseInterval:      dp.NoiseInterval,
-		NoisePages:         dp.NoisePages,
-		Seed:               dp.Seed,
+		Cores:         dp.Cores,
+		L1:            cache.Config{Name: "L1", SizeBytes: 32 * 1024, Ways: 8, HitLatency: 1},
+		L2:            cache.Config{Name: "L2", SizeBytes: 1024 * 1024, Ways: 4, HitLatency: 10},
+		L3:            cache.Config{Name: "L3", SizeBytes: 8 * 1024 * 1024, Ways: 16, HitLatency: cal.l3Hit},
+		SecurePages:   dp.SecurePages,
+		DomainPages:   domainPages,
+		SocketOf:      dp.SocketOf,
+		NoiseInterval: dp.NoiseInterval,
+		NoisePages:    dp.NoisePages,
+		Seed:          dp.Seed,
 	}
 	return &System{System: sim.New(simCfg, mc), DP: dp, Ctrl: mc}
 }

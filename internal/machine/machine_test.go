@@ -76,6 +76,51 @@ func TestGCBitsPlumbed(t *testing.T) {
 	}
 }
 
+// TestZeroFieldsFailLoudly: NewSystem applies no defaults, so a zero
+// or empty structural field panics instead of building another machine.
+func TestZeroFieldsFailLoudly(t *testing.T) {
+	for _, set := range []string{"Cores=0", "SecurePages=0", "MetaKB=0",
+		"TreeArities=", "Counter=", "Tree=", "MinorBits=0", "NoisePages=0"} {
+		dp := ConfigSCT()
+		dp.SecurePages = 1 << 12
+		dp.NoiseInterval = 2000
+		ov, err := ParseOverride(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ov.Apply(&dp); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSystem accepted %s", set)
+				}
+			}()
+			NewSystem(dp)
+		}()
+	}
+}
+
+// TestSGXSelectsCalibration: the SGX flag alone moves every
+// calibrated latency, on an otherwise unchanged design point.
+func TestSGXSelectsCalibration(t *testing.T) {
+	cold := func(dp DesignPoint) arch.Cycles {
+		dp.SecurePages = 1 << 12
+		sys := NewSystem(dp)
+		_, res := sys.Read(0, sys.AllocPage(0).Block(0))
+		return res.Latency
+	}
+	sim, sgx := ConfigSCT(), ConfigSCT()
+	sgx.SGX = true
+	if a, b := cold(sim), cold(sgx); a >= b {
+		t.Fatalf("cold read: simulated %d cycles, SGX calibration %d", a, b)
+	}
+	if DRAMConfig(sgx).RowHit <= DRAMConfig(sim).RowHit {
+		t.Fatal("SGX calibration keeps the simulated DRAM timings")
+	}
+}
+
 func TestUnknownKindsPanic(t *testing.T) {
 	bad := ConfigSCT()
 	bad.Counter = "bogus"

@@ -14,19 +14,15 @@ import (
 // the sweep CLI every ablation axis the struct exposes without growing a
 // flag per field — `-set FastCrypto=true`, `-set Cores=8`,
 // `-set TreeArities=8,8,8` — while keeping the failure modes typed so
-// callers can tell "no such field" from "field exists but is not
-// settable from a string" (e.g. the nested DRAM config).
+// callers can tell "no such field" from an unparseable value. Every
+// DesignPoint field is settable.
 
 // ErrUnknownField reports an override naming no DesignPoint field.
 var ErrUnknownField = errors.New("unknown DesignPoint field")
 
-// ErrUnsupportedField reports an override naming a field whose type the
-// string setter does not handle (nested structs like DRAM).
-var ErrUnsupportedField = errors.New("DesignPoint field cannot be set from a string")
-
 // FieldError wraps an override failure with the field it targeted.
-// errors.Is sees through it to ErrUnknownField / ErrUnsupportedField /
-// the strconv parse error.
+// errors.Is sees through it to ErrUnknownField or the strconv parse
+// error.
 type FieldError struct {
 	Field string
 	Err   error
@@ -70,8 +66,8 @@ func ParseOverrides(ss []string) ([]FieldOverride, error) {
 }
 
 // Apply sets the named field on dp, converting the string value to the
-// field's type. Unknown fields, unsupported field types, and
-// unparseable values all return a *FieldError.
+// field's type. Unknown fields and unparseable values return a
+// *FieldError.
 func (o FieldOverride) Apply(dp *DesignPoint) error {
 	f := reflect.ValueOf(dp).Elem().FieldByName(o.Field)
 	if !f.IsValid() {
@@ -105,10 +101,7 @@ func (o FieldOverride) Apply(dp *DesignPoint) error {
 			return &FieldError{Field: o.Field, Err: fmt.Errorf("value %d overflows %s", v, f.Type())}
 		}
 		f.SetUint(v)
-	case reflect.Slice:
-		if f.Type().Elem().Kind() != reflect.Int {
-			return &FieldError{Field: o.Field, Err: ErrUnsupportedField}
-		}
+	case reflect.Slice: // []int: TreeArities, SocketOf
 		var elems []int
 		if o.Value != "" {
 			for _, part := range strings.Split(o.Value, ",") {
@@ -121,7 +114,7 @@ func (o FieldOverride) Apply(dp *DesignPoint) error {
 		}
 		f.Set(reflect.ValueOf(elems))
 	default:
-		return &FieldError{Field: o.Field, Err: ErrUnsupportedField}
+		panic(fmt.Sprintf("machine: DesignPoint.%s has kind %s, which Apply does not parse", o.Field, f.Kind()))
 	}
 	return nil
 }
@@ -137,35 +130,23 @@ func ApplyOverrides(dp *DesignPoint, ovs []FieldOverride) error {
 	return nil
 }
 
-// OverridableFields returns the sorted DesignPoint field names Apply can
-// set — every field except ones with nested struct types.
+// OverridableFields returns the sorted DesignPoint field names, every
+// one of which Apply can set.
 func OverridableFields() []string {
 	t := reflect.TypeOf(DesignPoint{})
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		switch f.Type.Kind() {
-		case reflect.String, reflect.Bool,
-			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			out = append(out, f.Name)
-		case reflect.Slice:
-			if f.Type.Elem().Kind() == reflect.Int {
-				out = append(out, f.Name)
-			}
-		}
+	out := make([]string, t.NumField())
+	for i := range out {
+		out[i] = t.Field(i).Name
 	}
 	sort.Strings(out)
 	return out
 }
 
 // UsesMinorBits reports whether the design point's behaviour depends on
-// MinorBits: split-counter encryption (CounterSC, also the zero-value
-// default) and the split-counter tree consume it; MoC/GC counters and
-// the HT/SIT trees ignore it (SIT hardwires 56-bit counters). Sweeping
-// MinorBits on a design point where this is false varies a label, not a
-// machine.
+// MinorBits: split-counter encryption (CounterSC) and the split-counter
+// tree consume it; MoC/GC counters and the HT/SIT trees ignore it (SIT
+// hardwires 56-bit counters). Sweeping MinorBits on a design point where
+// this is false varies a label, not a machine.
 func (dp DesignPoint) UsesMinorBits() bool {
-	return dp.Counter == CounterSC || dp.Counter == "" ||
-		dp.Tree == TreeSCT || dp.Tree == ""
+	return dp.Counter == CounterSC || dp.Tree == TreeSCT
 }

@@ -48,11 +48,6 @@ func TestOverrideTypedErrors(t *testing.T) {
 		t.Fatalf("FieldError not exposed: %v", err)
 	}
 
-	err = (FieldOverride{Field: "DRAM", Value: "x"}).Apply(&dp)
-	if !errors.Is(err, ErrUnsupportedField) {
-		t.Fatalf("nested struct field error = %v", err)
-	}
-
 	if err := (FieldOverride{Field: "MinorBits", Value: "seven"}).Apply(&dp); err == nil {
 		t.Fatal("unparseable value accepted")
 	}
@@ -62,8 +57,7 @@ func TestOverrideTypedErrors(t *testing.T) {
 }
 
 // TestOverrideErrorPathTable sweeps every reachable Apply failure:
-// unknown fields, the unsupported nested-struct kind, and unparseable
-// values for each settable kind. Every failure must surface as a
+// unknown fields and unparseable values for each settable kind. Every failure must surface as a
 // *FieldError naming the field, with the sentinel (or strconv error)
 // visible to errors.Is through it.
 func TestOverrideErrorPathTable(t *testing.T) {
@@ -74,7 +68,6 @@ func TestOverrideErrorPathTable(t *testing.T) {
 	}{
 		{"unknown field", "NoSuchField=1", ErrUnknownField},
 		{"unknown field case-sensitive", "minorbits=6", ErrUnknownField},
-		{"nested struct unsupported", "DRAM=x", ErrUnsupportedField},
 		{"uint from word", "MinorBits=seven", nil},
 		{"uint from negative", "MinorBits=-1", nil},
 		{"uint64 from float", "Seed=1.5", nil},
@@ -155,17 +148,31 @@ func TestParseOverride(t *testing.T) {
 	}
 }
 
+// TestOverridableFields pins the -set surface: adding or removing a
+// DesignPoint knob shows up here as a diff. Every listed field must
+// also take a value through Apply.
 func TestOverridableFields(t *testing.T) {
-	fields := OverridableFields()
-	want := map[string]bool{"MinorBits": true, "MetaKB": true, "FastCrypto": true, "TreeArities": true}
-	for _, f := range fields {
-		delete(want, f)
-		if f == "DRAM" {
-			t.Fatal("nested struct field listed as settable")
-		}
+	want := []string{
+		"Contract", "Cores", "Counter", "FastCrypto", "FaultSpec",
+		"GCBits", "Insecure", "IsolatedDomains", "MetaKB", "MinorBits",
+		"MoCBits", "Name", "NoiseInterval", "NoisePages", "RandomizedMeta",
+		"SGX", "SecurePages", "Seed", "SocketOf", "Tree", "TreeArities",
 	}
-	if len(want) != 0 {
-		t.Fatalf("settable fields missing from OverridableFields: %v (got %v)", want, fields)
+	got := OverridableFields()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("OverridableFields() =\n%v\nwant\n%v", got, want)
+	}
+	values := map[reflect.Kind]string{
+		reflect.String: "x", reflect.Bool: "true", reflect.Int: "1",
+		reflect.Uint: "1", reflect.Uint64: "1", reflect.Slice: "1,2",
+	}
+	dpType := reflect.TypeOf(DesignPoint{})
+	for _, name := range got {
+		f, _ := dpType.FieldByName(name)
+		dp := ConfigSCT()
+		if err := (FieldOverride{Field: name, Value: values[f.Type.Kind()]}).Apply(&dp); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -178,8 +185,5 @@ func TestUsesMinorBits(t *testing.T) {
 	}
 	if ConfigSGX().UsesMinorBits() {
 		t.Fatal("SGX must not use MinorBits (MoC counters + SIT tree hardwire 56 bits)")
-	}
-	if (DesignPoint{}).UsesMinorBits() != true {
-		t.Fatal("zero-value design point defaults to SC counters")
 	}
 }

@@ -20,10 +20,12 @@ import (
 type Config struct {
 	DataBlocks int // capacity of the data store (e.g. 256 KiB / 64 B = 4096)
 	Sets       int // sets per skew
-	BaseWays   int // baseline tag ways per skew (8)
-	ExtraWays  int // additional invalid tags per set per skew (6)
 	Seed       uint64
 }
+
+// waysPerSet is the tag ways per set per skew: 8 base ways plus 6
+// extra invalid tags.
+const waysPerSet = 8 + 6
 
 // DefaultConfig returns the configuration of the paper's experiment: the
 // 256 KiB metadata cache re-organized as a two-skew MIRAGE with 8+6 ways
@@ -32,8 +34,6 @@ func DefaultConfig() Config {
 	return Config{
 		DataBlocks: 4096,
 		Sets:       256,
-		BaseWays:   8,
-		ExtraWays:  6,
 	}
 }
 
@@ -83,11 +83,10 @@ func New(cfg Config) *Cache {
 		dirtyBlocks: make(map[arch.BlockID]bool),
 		rng:         arch.NewRNG(cfg.Seed ^ 0x319a6e),
 	}
-	ways := cfg.BaseWays + cfg.ExtraWays
 	for s := 0; s < 2; s++ {
 		c.skews[s] = make([][]tag, cfg.Sets)
 		for i := range c.skews[s] {
-			c.skews[s][i] = make([]tag, ways)
+			c.skews[s][i] = make([]tag, waysPerSet)
 		}
 		c.keys[s] = c.rng.Uint64()
 	}

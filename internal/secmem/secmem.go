@@ -46,7 +46,6 @@ type Report struct {
 	Overflow         bool // an encryption counter overflowed (writes only)
 	TreeOverflow     bool // a tree minor counter overflowed (write-backs)
 	Reencrypted      int  // blocks re-encrypted due to counter overflow
-	Rehashed         int  // metadata blocks re-hashed due to tree overflow
 	Tampered         bool // integrity verification failed
 }
 
@@ -54,6 +53,10 @@ type Report struct {
 // pays when overflow handling kicks off (the burst itself runs in the
 // background; see Fig. 8).
 const overflowStall = 200
+
+// macLatency is the fixed MAC fetch+check cost. Per §IV-B it is constant
+// and pattern-agnostic, so it is charged as a flat cost.
+const macLatency = 30
 
 // Config parameterizes the controller.
 type Config struct {
@@ -69,9 +72,6 @@ type Config struct {
 	// allocation and hash pipelining). Fig. 6/7 show ~30 cycles per level
 	// in the simulated design and ~100 on SGX hardware.
 	TreeStepDelay arch.Cycles
-	// MACLatency models the fixed MAC fetch+check cost. Per §IV-B this is
-	// constant and pattern-agnostic, so it is charged as a flat cost.
-	MACLatency arch.Cycles
 
 	// Plain disables all protection (no encryption, MAC, counters, or
 	// tree): the insecure baseline against which the secure designs'
@@ -176,7 +176,6 @@ type Controller struct {
 	// Tree-overflow fallout discovered during eviction handling, surfaced
 	// in the next Write report.
 	pendingTreeOverflow bool
-	pendingRehashed     int
 }
 
 // New wires a controller from its parts. The counter scheme and tree are
@@ -315,12 +314,12 @@ func (c *Controller) Read(now arch.Cycles, b arch.BlockID) (crypto.Block, Report
 	now += c.cfg.QueueDelay
 	// Data fetch and (fixed-cost) MAC fetch+check proceed first.
 	now = c.dram.Read(now, b)
-	now += c.cfg.MACLatency
+	now += macLatency
 	// Counter (and, if needed, tree) access.
 	now = c.fetchCounter(now, b, &rep)
 	if !rep.CounterHit {
 		// OTP generation could not be overlapped with the data fetch.
-		now += c.eng.AESLatency()
+		now += crypto.AESLatency
 	}
 	// Decrypt and authenticate (functionally real).
 	v := c.ctrs.Value(b)
@@ -398,15 +397,15 @@ func (c *Controller) Write(now arch.Cycles, b arch.BlockID, plain crypto.Block) 
 			c.eng.DecryptTo(&scratch, &gst.ct, ch.Block, ch.Old)
 			c.eng.EncryptTo(&gst.ct, &scratch, ch.Block, ch.New)
 			gst.mac = c.eng.MACOf(&gst.ct, ch.Block, ch.New)
-			c.dram.Background(burst, ch.Block, 1, c.cfg.DRAM.WriteLat+2*c.eng.AESLatency())
+			c.dram.Background(burst, ch.Block, 1, c.cfg.DRAM.WriteLat+2*crypto.AESLatency)
 		}
 		now += overflowStall
 	}
 	// Encrypt and queue the target block.
-	now += c.eng.AESLatency()
+	now += crypto.AESLatency
 	c.eng.EncryptTo(&st.ct, &plain, b, newVal)
 	st.mac = c.eng.MACOf(&st.ct, b, newVal)
-	now += c.cfg.MACLatency
+	now += macLatency
 	now = c.dram.Write(now, b)
 	rep.Path = PathCounterHit
 	if !rep.CounterHit {
@@ -420,9 +419,7 @@ func (c *Controller) Write(now arch.Cycles, b arch.BlockID, plain crypto.Block) 
 	// Report tree overflow that dirty-eviction handling produced.
 	if c.pendingTreeOverflow {
 		rep.TreeOverflow = true
-		rep.Rehashed = c.pendingRehashed
 		c.pendingTreeOverflow = false
-		c.pendingRehashed = 0
 	}
 	return rep
 }

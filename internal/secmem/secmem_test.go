@@ -15,7 +15,7 @@ import (
 // 3-level tree, and a tiny metadata cache so evictions are easy to force.
 func build(metaKB int) (*Controller, *ctr.SC, *itree.VTree) {
 	sc := ctr.NewSC(ctr.SCConfig{})
-	eng := crypto.Config{AESLatency: 20, HashLatency: 12}
+	eng := crypto.Config{HashLatency: 12}
 	h := crypto.New(eng)
 	tree := itree.NewVTree(itree.VTreeConfig{
 		Name: "SCT", Arities: []int{32, 16, 16}, MinorBits: 7, CounterBlocks: 32 * 16 * 16,
@@ -23,7 +23,7 @@ func build(metaKB int) (*Controller, *ctr.SC, *itree.VTree) {
 	cfg := Config{
 		DRAM:   dram.DefaultConfig(),
 		Meta:   cache.Config{Name: "meta", SizeBytes: metaKB * 1024, Ways: 8, HitLatency: 2},
-		Engine: eng, QueueDelay: 10, MACLatency: 30,
+		Engine: eng, QueueDelay: 10,
 	}
 	return New(cfg, sc, tree), sc, tree
 }
@@ -288,7 +288,7 @@ func TestStatefulFuzz(t *testing.T) {
 // TestStatefulFuzzAllDesigns repeats a shorter fuzz on every counter
 // scheme and tree combination the builder supports.
 func TestStatefulFuzzAllDesigns(t *testing.T) {
-	engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
+	engCfg := crypto.Config{HashLatency: 12}
 	builds := []struct {
 		name   string
 		scheme ctr.Scheme
@@ -314,7 +314,6 @@ func TestStatefulFuzzAllDesigns(t *testing.T) {
 				Meta:          cache.Config{Name: "meta", SizeBytes: 8 * 1024, Ways: 8, HitLatency: 2},
 				Engine:        engCfg,
 				QueueDelay:    10,
-				MACLatency:    30,
 				TreeStepDelay: 30,
 			}, bc.scheme, bc.tree)
 			rng := arch.NewRNG(uint64(len(bc.name)))
@@ -348,7 +347,7 @@ func TestStatefulFuzzAllDesigns(t *testing.T) {
 // epochBuild constructs a controller over a whole-memory-re-key scheme
 // (MoC or GC) with a tiny counter width so overflow is cheap to force.
 func epochBuild(scheme ctr.Scheme) *Controller {
-	eng := crypto.Config{AESLatency: 20, HashLatency: 12}
+	eng := crypto.Config{HashLatency: 12}
 	h := crypto.New(eng)
 	tree := itree.NewVTree(itree.VTreeConfig{
 		Name: "SIT", Arities: []int{8, 8, 8}, MinorBits: 56, CounterBlocks: 512,
@@ -356,7 +355,7 @@ func epochBuild(scheme ctr.Scheme) *Controller {
 	cfg := Config{
 		DRAM:   dram.DefaultConfig(),
 		Meta:   cache.Config{Name: "meta", SizeBytes: 256 * 1024, Ways: 8, HitLatency: 2},
-		Engine: eng, QueueDelay: 10, MACLatency: 30,
+		Engine: eng, QueueDelay: 10,
 	}
 	return New(cfg, scheme, tree)
 }

@@ -94,7 +94,6 @@ func (c *Controller) applyTreeUpdate(now arch.Cycles, up *itree.Update) arch.Cyc
 	c.stats.TreeOverflows++
 	c.stats.RehashedBlocks += uint64(up.RehashedBlocks)
 	c.pendingTreeOverflow = true
-	c.pendingRehashed += up.RehashedBlocks
 	// The subtree sweep (read, re-hash, write back every affected metadata
 	// block) is posted as a background burst occupying the blocks' banks;
 	// the triggering operation stalls only for the bookkeeping.

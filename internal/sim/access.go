@@ -223,7 +223,7 @@ func (s *System) Idle(d arch.Cycles) { s.now += d }
 // cycle-based scheduling (rather than access counting) prevents the noise
 // from phase-locking with an attack loop's regular access pattern.
 func (s *System) maybeNoise(requester int) {
-	if s.cfg.NoiseInterval == 0 || s.cfg.NoisePages == 0 || s.inNoise {
+	if s.cfg.NoiseInterval == 0 || s.inNoise {
 		return
 	}
 	if requester == s.noiseCore || s.now < s.nextNoise {

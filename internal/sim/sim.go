@@ -40,25 +40,28 @@ type Config struct {
 
 	// SocketOf assigns each core to a socket (nil: all on socket 0). The
 	// memory controller and secure metadata live on socket 0; cores on
-	// other sockets pay CrossSocketLatency per off-core access — the
+	// other sockets pay crossSocketLatency per off-core access — the
 	// cross-socket setting of the paper's covert channels (§VI-A).
-	SocketOf           []int
-	CrossSocketLatency arch.Cycles
+	SocketOf []int
 
 	// NoiseInterval injects a background-traffic burst roughly every this
 	// many cycles (0 disables noise). Bursts are jittered so they cannot
 	// phase-lock with attack loops. Noise runs on the last core against
 	// its own pages, perturbing the shared L3, metadata cache, and DRAM.
 	NoiseInterval arch.Cycles
-	// NoisePages is the background process's working set.
+	// NoisePages is the background process's working set; New rejects
+	// a NoiseInterval without one.
 	NoisePages int
 
 	Seed uint64
 }
 
+// crossSocketLatency is the hop an off-socket core pays per access
+// that leaves its private caches.
+const crossSocketLatency = 120
+
 // Core is one processor core with its private (exclusive) L1 and L2.
 type Core struct {
-	id int
 	l1 *cache.Cache
 	l2 *cache.Cache
 }
@@ -94,6 +97,9 @@ func New(cfg Config, mc *secmem.Controller) *System {
 	if cfg.Cores < 1 {
 		panic("sim: need at least one core")
 	}
+	if cfg.NoiseInterval > 0 && cfg.NoisePages <= 0 {
+		panic(fmt.Sprintf("sim: noise interval %d with no noise pages", cfg.NoiseInterval))
+	}
 	s := &System{
 		cfg:   cfg,
 		mc:    mc,
@@ -103,13 +109,11 @@ func New(cfg Config, mc *secmem.Controller) *System {
 		rng:   arch.NewRNG(cfg.Seed ^ 0x5157),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		l1cfg, l2cfg := cfg.L1, cfg.L2
-		l1cfg.Seed, l2cfg.Seed = cfg.Seed+uint64(i)*2+1, cfg.Seed+uint64(i)*2+2
-		s.cores = append(s.cores, &Core{id: i, l1: cache.New(l1cfg), l2: cache.New(l2cfg)})
+		s.cores = append(s.cores, &Core{l1: cache.New(cfg.L1), l2: cache.New(cfg.L2)})
 	}
 	s.alloc.init(cfg.SecurePages)
 	s.noiseCore = cfg.Cores - 1
-	if cfg.NoiseInterval > 0 && cfg.NoisePages > 0 {
+	if cfg.NoiseInterval > 0 {
 		s.noiseBase = s.allocRange(s.noiseCore, cfg.NoisePages)
 		s.nextNoise = cfg.NoiseInterval
 	}
@@ -264,5 +268,5 @@ func (s *System) remotePenalty(core int) arch.Cycles {
 	if s.cfg.SocketOf == nil || core >= len(s.cfg.SocketOf) || s.cfg.SocketOf[core] == 0 {
 		return 0
 	}
-	return s.cfg.CrossSocketLatency
+	return crossSocketLatency
 }

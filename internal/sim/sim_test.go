@@ -14,13 +14,12 @@ import (
 
 func newSys(t *testing.T, noiseInterval arch.Cycles) *System {
 	t.Helper()
-	engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
+	engCfg := crypto.Config{HashLatency: 12}
 	mc := secmem.New(secmem.Config{
 		DRAM:          dram.DefaultConfig(),
 		Meta:          cache.Config{Name: "meta", SizeBytes: 64 * 1024, Ways: 8, HitLatency: 2},
 		Engine:        engCfg,
 		QueueDelay:    10,
-		MACLatency:    30,
 		TreeStepDelay: 30,
 	}, ctr.NewSC(ctr.SCConfig{}), itree.NewVTree(itree.VTreeConfig{
 		Name: "SCT", Arities: []int{32, 16}, MinorBits: 7, CounterBlocks: 1 << 12,
@@ -236,26 +235,24 @@ func TestFlushPageWritesBackAll(t *testing.T) {
 
 func TestCrossSocketPenalty(t *testing.T) {
 	mkSys := func(socketOf []int) *System {
-		engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
+		engCfg := crypto.Config{HashLatency: 12}
 		mc := secmem.New(secmem.Config{
 			DRAM:          dram.DefaultConfig(),
 			Meta:          cache.Config{Name: "meta", SizeBytes: 64 * 1024, Ways: 8, HitLatency: 2},
 			Engine:        engCfg,
 			QueueDelay:    10,
-			MACLatency:    30,
 			TreeStepDelay: 30,
 		}, ctr.NewSC(ctr.SCConfig{}), itree.NewVTree(itree.VTreeConfig{
 			Name: "SCT", Arities: []int{32, 16}, MinorBits: 7, CounterBlocks: 1 << 12,
 		}, crypto.New(engCfg)))
 		return New(Config{
-			Cores:              2,
-			L1:                 cache.Config{Name: "L1", SizeBytes: 4 * 1024, Ways: 2, HitLatency: 1},
-			L2:                 cache.Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 4, HitLatency: 10},
-			L3:                 cache.Config{Name: "L3", SizeBytes: 64 * 1024, Ways: 8, HitLatency: 29},
-			SecurePages:        1 << 12,
-			SocketOf:           socketOf,
-			CrossSocketLatency: 120,
-			Seed:               5,
+			Cores:       2,
+			L1:          cache.Config{Name: "L1", SizeBytes: 4 * 1024, Ways: 2, HitLatency: 1},
+			L2:          cache.Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 4, HitLatency: 10},
+			L3:          cache.Config{Name: "L3", SizeBytes: 64 * 1024, Ways: 8, HitLatency: 29},
+			SecurePages: 1 << 12,
+			SocketOf:    socketOf,
+			Seed:        5,
 		}, mc)
 	}
 	local := mkSys(nil)

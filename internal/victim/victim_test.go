@@ -17,13 +17,12 @@ import (
 
 func newSys(t *testing.T) *sim.System {
 	t.Helper()
-	engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
+	engCfg := crypto.Config{HashLatency: 12}
 	mc := secmem.New(secmem.Config{
 		DRAM:          dram.DefaultConfig(),
 		Meta:          cache.Config{Name: "meta", SizeBytes: 256 * 1024, Ways: 8, HitLatency: 2},
 		Engine:        engCfg,
 		QueueDelay:    10,
-		MACLatency:    30,
 		TreeStepDelay: 30,
 	}, ctr.NewSC(ctr.SCConfig{}), itree.NewVTree(itree.VTreeConfig{
 		Name: "SCT", Arities: []int{32, 16, 16}, MinorBits: 7, CounterBlocks: 1 << 14,
