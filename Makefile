@@ -57,10 +57,12 @@ fuzz-smoke:
 # grid must reproduce the committed verdict CSV byte for byte, at any
 # -par width, through the distributed dispatch path, and across a
 # checkpoint torn mid-append (harness:trunc) and resumed, whose resume
-# must report the salvaged torn line. Regenerate the golden (after
-# auditing the diff) by copying /tmp/hunt-smoke.csv over
+# must report the salvaged torn line. A noisy grid must run every cell:
+# a row with a non-empty err column fails the target. Regenerate the
+# golden (after auditing the diff) by copying /tmp/hunt-smoke.csv over
 # internal/hunt/testdata/smoke.csv.
 HUNT_SMOKE = hunt -configs sct,ht -programs 4 -pairs 2 -seed 42
+HUNT_NOISE = hunt -configs sct -programs 2 -pairs 2 -seed 5 -set NoiseInterval=2000
 
 hunt-smoke:
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) 2>/dev/null > /tmp/hunt-smoke.csv
@@ -71,6 +73,10 @@ hunt-smoke:
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-smoke.ckpt -faults 'harness:trunc@3' 2>/dev/null | diff /tmp/hunt-smoke.csv -
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-smoke.ckpt 2>/tmp/hunt-smoke.err | diff /tmp/hunt-smoke.csv -
 	grep -q 'discarded torn trailing line' /tmp/hunt-smoke.err
+	$(GO) run ./cmd/metaleak $(HUNT_NOISE) 2>/dev/null > /tmp/hunt-noise.csv
+	awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($$i == "err") e = i; next } \
+		!e || $$e != "" { print "hunt-smoke: noisy row failed: " $$0; bad = 1 } \
+		END { exit bad || !e || NR < 2 }' /tmp/hunt-noise.csv
 
 # Sequential vs GOMAXPROCS-parallel wall-clock over the full experiment
 # registry: the speedup the spec/trial/merge harness buys on this

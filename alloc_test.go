@@ -1,6 +1,7 @@
 package metaleak
 
 import (
+	"runtime"
 	"testing"
 
 	"metaleak/internal/arch"
@@ -30,6 +31,41 @@ func TestSecureReadSteadyStateAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("steady-state secure read allocates %.2f objects per access; want 0", avg)
 	}
+}
+
+// TestNewSystemAllocs bounds what building a machine allocates: caches
+// fill a set on its first insert and the frame allocator keeps a
+// per-domain cursor, so a fresh machine costs a per-set slot array, not
+// every line of every cache (built eagerly, those lines would take about
+// 25,000 objects and 5.4 MB per machine).
+func TestNewSystemAllocs(t *testing.T) {
+	const maxObjects, maxBytes = 256, 512 << 10
+	for _, dp := range []DesignPoint{ConfigSCT(), ConfigHT(), ConfigSGX()} {
+		for _, noise := range []arch.Cycles{0, 2000} {
+			dp.NoiseInterval = noise
+			objects, bytes := allocsPerRun(20, func() { NewSystem(dp) })
+			if objects > maxObjects || bytes > maxBytes {
+				t.Errorf("%s, NoiseInterval %d: NewSystem allocates %.0f objects and %.0f bytes; want at most %d and %d",
+					dp.Name, noise, objects, bytes, maxObjects, maxBytes)
+			}
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports bytes: the
+// average heap objects and bytes one call of f allocates, after a
+// warm-up call, on one P.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestTreeOverflowAllocsConstant pins the host cost of a tree-counter

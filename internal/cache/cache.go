@@ -47,13 +47,27 @@ type line struct {
 	lastUse uint64
 }
 
+// Set storage. A set's lines come into being on its first Insert. Until
+// then its slot is 0, which names the cache's cold set: one set of
+// invalid lines that every unfilled set shares and nothing writes, since
+// only a hit or an Insert writes a line. Filled sets are carved from
+// chunks that never move, each twice the size of the one before, up to
+// maxChunkSets sets. A slot holds chunk<<chunkBits | offset, the set's
+// position in that storage, so a machine pays for the sets its run
+// touches rather than for every line of every cache.
+const (
+	chunkBits    = 10
+	maxChunkSets = 1 << chunkBits
+)
+
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator is single-threaded by design (determinism).
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	tick  uint64
-	stats Stats
+	cfg    Config
+	slot   []uint32 // per set: its storage position, 0 (the cold set) before its first Insert
+	chunks [][]line // line storage, the cold set first; a chunk's length is the lines handed out
+	tick   uint64
+	stats  Stats
 }
 
 // New builds a cache from the configuration. It panics on a configuration
@@ -74,11 +88,31 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, n))
 	}
-	sets := make([][]line, n)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	return &Cache{cfg: cfg, slot: make([]uint32, n), chunks: [][]line{make([]line, cfg.Ways)}}
+}
+
+// lines returns set si's ways.
+func (c *Cache) lines(si int) []line {
+	v := c.slot[si]
+	off := int(v&(maxChunkSets-1)) * c.cfg.Ways
+	return c.chunks[v>>chunkBits][off : off+c.cfg.Ways]
+}
+
+// fill gives set si its own ways, all invalid, from the newest chunk,
+// opening a chunk twice the size of the last (at most maxChunkSets sets)
+// when that one is full.
+func (c *Cache) fill(si int) []line {
+	w := c.cfg.Ways
+	last := len(c.chunks) - 1
+	if len(c.chunks[last]) == cap(c.chunks[last]) {
+		c.chunks = append(c.chunks, make([]line, 0, min(2*cap(c.chunks[last]), maxChunkSets*w)))
+		last++
 	}
-	return &Cache{cfg: cfg, sets: sets}
+	ch := c.chunks[last]
+	off := len(ch)
+	c.chunks[last] = ch[:off+w]
+	c.slot[si] = uint32(last<<chunkBits | off/w)
+	return ch[off : off+w]
 }
 
 // Config returns the cache's configuration.
@@ -89,20 +123,21 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // SetIndex returns the set a block maps to.
 func (c *Cache) SetIndex(b arch.BlockID) int {
-	return int(uint64(b) & uint64(len(c.sets)-1))
+	return int(uint64(b) & uint64(len(c.slot)-1))
 }
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() arch.Cycles { return c.cfg.HitLatency }
 
-func (c *Cache) find(b arch.BlockID) (int, int) {
-	si := c.SetIndex(b)
-	for wi := range c.sets[si] {
-		if c.sets[si][wi].valid && c.sets[si][wi].block == b {
-			return si, wi
+// find returns the ways of the set b maps to and b's way in it, or -1.
+func (c *Cache) find(b arch.BlockID) ([]line, int) {
+	set := c.lines(c.SetIndex(b))
+	for wi := range set {
+		if set[wi].valid && set[wi].block == b {
+			return set, wi
 		}
 	}
-	return si, -1
+	return set, -1
 }
 
 // Contains reports whether the block is present without updating
@@ -118,16 +153,16 @@ func (c *Cache) Contains(b arch.BlockID) bool {
 // If write is true and the block hits, the line is marked dirty.
 // It returns whether the access hit.
 func (c *Cache) Access(b arch.BlockID, write bool) bool {
-	si, wi := c.find(b)
+	set, wi := c.find(b)
 	if wi < 0 {
 		c.stats.Misses++
 		return false
 	}
 	c.stats.Hits++
 	c.tick++
-	c.sets[si][wi].lastUse = c.tick
+	set[wi].lastUse = c.tick
 	if write {
-		c.sets[si][wi].dirty = true
+		set[wi].dirty = true
 	}
 	return true
 }
@@ -137,17 +172,20 @@ func (c *Cache) Access(b arch.BlockID, write bool) bool {
 // refreshed in place and no eviction occurs. The dirty flag marks the newly
 // inserted line (true for write allocations).
 func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
-	si, wi := c.find(b)
+	set, wi := c.find(b)
 	c.tick++
 	if wi >= 0 {
-		c.sets[si][wi].lastUse = c.tick
-		c.sets[si][wi].dirty = c.sets[si][wi].dirty || dirty
+		set[wi].lastUse = c.tick
+		set[wi].dirty = set[wi].dirty || dirty
 		return Eviction{}, false
+	}
+	if si := c.SetIndex(b); c.slot[si] == 0 {
+		set = c.fill(si)
 	}
 	// Choose a victim: an invalid way if one exists, else the LRU way.
 	victim := -1
-	for i := range c.sets[si] {
-		if !c.sets[si][i].valid {
+	for i := range set {
+		if !set[i].valid {
 			victim = i
 			break
 		}
@@ -156,12 +194,12 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 	evicted := false
 	if victim < 0 {
 		victim = 0
-		for i := 1; i < c.cfg.Ways; i++ {
-			if c.sets[si][i].lastUse < c.sets[si][victim].lastUse {
+		for i := 1; i < len(set); i++ {
+			if set[i].lastUse < set[victim].lastUse {
 				victim = i
 			}
 		}
-		l := c.sets[si][victim]
+		l := set[victim]
 		ev = Eviction{Block: l.block, Dirty: l.dirty}
 		evicted = true
 		c.stats.Evictions++
@@ -169,7 +207,7 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 			c.stats.Writebacks++
 		}
 	}
-	c.sets[si][victim] = line{block: b, valid: true, dirty: dirty, lastUse: c.tick}
+	set[victim] = line{block: b, valid: true, dirty: dirty, lastUse: c.tick}
 	return ev, evicted
 }
 
@@ -177,11 +215,11 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 // Unlike a natural eviction the caller decides what to do with the dirty
 // state (a flush instruction writes back; an attack helper may drop it).
 func (c *Cache) Invalidate(b arch.BlockID) (wasPresent, wasDirty bool) {
-	si, wi := c.find(b)
+	set, wi := c.find(b)
 	if wi < 0 {
 		return false, false
 	}
-	dirty := c.sets[si][wi].dirty
-	c.sets[si][wi] = line{}
+	dirty := set[wi].dirty
+	set[wi] = line{}
 	return true, dirty
 }

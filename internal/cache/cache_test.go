@@ -169,7 +169,7 @@ func TestNewRejectsNonDivisibleGeometry(t *testing.T) {
 func (c *Cache) Occupancy(b arch.BlockID) int {
 	si := c.SetIndex(b)
 	n := 0
-	for _, l := range c.sets[si] {
+	for _, l := range c.lines(si) {
 		if l.valid {
 			n++
 		}

@@ -338,6 +338,12 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 	defer cancel()
 	ln := mustListen(t)
 	co := NewCoordinator(jobSpec(t, testJob{Mult: 1}), grid(2), Options{})
+
+	ran := runInBackground(ctx, co, ln)
+
+	// The mismatched peer is answered before the healthy worker joins:
+	// until then no cell can settle, so the refusal cannot race the end
+	// of the run (which closes every accepted connection).
 	refused := make(chan string, 1)
 	go func() {
 		conn, err := Dial(ln.Addr().String())
@@ -353,12 +359,6 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 			refused <- fmt.Sprintf("unexpected: %+v, %v", f, err)
 		}
 	}()
-	wg := startWorker(t, ctx, ln.Addr().String(), "current", testSession(testJob{Mult: 1}, nil, nil))
-	settled, err := co.Run(ctx, ln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPayloads(t, settled, 2, 1)
 	select {
 	case reason := <-refused:
 		if reason == "" || reason[0] == 'u' {
@@ -367,6 +367,13 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("mismatched worker never refused")
 	}
+
+	wg := startWorker(t, ctx, ln.Addr().String(), "current", testSession(testJob{Mult: 1}, nil, nil))
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkPayloads(t, out.settled, 2, 1)
 	cancel()
 	wg.Wait()
 }

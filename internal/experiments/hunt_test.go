@@ -201,11 +201,13 @@ func TestHuntFingerprintCoversIdentity(t *testing.T) {
 	}
 }
 
-// TestHuntNoiseTakesEffect: a NoiseInterval in Set reaches the cell's
-// machine. Before the design points carried NoisePages, the interval
-// alone ran no noise and the grid printed the noiseless rows. (Today
-// the noise process owns the low frames hunt.Run claims for its victim,
-// so each such cell fails loudly.)
+// TestHuntNoiseTakesEffect: a NoiseInterval in Set reaches the cells'
+// machines, and every noisy cell runs: the victim's frames sit past the
+// noise process's pages in core 0's domain. Before the design points
+// carried NoisePages, the interval alone ran no noise and the grid
+// printed the noiseless rows. The bursts shift a cell's timing, but its
+// verdict (channel, first divergence, counts) may still coincide with
+// the quiet one, so the grid as a whole must change, not each row.
 func TestHuntNoiseTakesEffect(t *testing.T) {
 	axes := huntTestAxes()
 	axes.Configs = []string{"sct"}
@@ -218,10 +220,13 @@ func TestHuntNoiseTakesEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range quiet {
-		if reflect.DeepEqual(quiet[i], noisy[i]) {
-			t.Errorf("cell %d: NoiseInterval=2000 left the row unchanged", i)
+	for i := range noisy {
+		if noisy[i].Err != "" {
+			t.Errorf("cell %d: noisy run failed: %s", i, noisy[i].Err)
 		}
+	}
+	if reflect.DeepEqual(quiet, noisy) {
+		t.Error("NoiseInterval=2000 left every row unchanged")
 	}
 }
 

@@ -71,9 +71,10 @@ type Program struct {
 }
 
 // Generation and layout parameters. The page frames are fixed by the
-// program (frame = index * frameStride), so the victim's address layout
-// is part of the program identity, not the machine seed: both runs of
-// a differential pair see the identical layout.
+// program (frame = index * frameStride, past any noise pages in core
+// 0's domain), so the victim's address layout is part of the program
+// identity, not the machine seed: both runs of a differential pair see
+// the identical layout.
 const (
 	// fixedPages is how many secret-independent pages a program uses.
 	fixedPages = 8
@@ -183,17 +184,24 @@ func (r *bitReader) nibble() int {
 // back to the analyzer's committed leakage inventory.
 func Run(dp machine.DesignPoint, prog Program, secret []byte) ([]sim.TraceEvent, error) {
 	sys := machine.NewSystem(dp)
+	// A noise process sharing core 0's domain owns the frames at its
+	// bottom; the program's frames start past them. Without noise the
+	// layout is frame i*frameStride from 0.
+	base := arch.PageID(0)
+	for sys.Owner(base) >= 0 {
+		base++
+	}
 	fixed := make([]arch.PageID, fixedPages)
 	table := make([]arch.PageID, secretPages)
 	for i := range fixed {
-		frame := arch.PageID(i * frameStride)
+		frame := base + arch.PageID(i*frameStride)
 		if err := sys.AllocFrame(0, frame); err != nil {
 			return nil, fmt.Errorf("hunt: fixed page %d: %w", i, err)
 		}
 		fixed[i] = frame
 	}
 	for i := range table {
-		frame := arch.PageID((fixedPages + i) * frameStride)
+		frame := base + arch.PageID((fixedPages+i)*frameStride)
 		if err := sys.AllocFrame(0, frame); err != nil {
 			return nil, fmt.Errorf("hunt: table page %d: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"metaleak/internal/arch"
@@ -213,5 +214,22 @@ func TestCombinedDefences(t *testing.T) {
 	}
 	if sys.TamperDetections() != 0 {
 		t.Fatal("false tamper under combined defences")
+	}
+}
+
+// BenchmarkNewSystem measures building a machine at the three design
+// points, with and without the noise process (whose 1,024 pages the
+// frame allocator places during construction).
+func BenchmarkNewSystem(b *testing.B) {
+	for _, dp := range []DesignPoint{ConfigSCT(), ConfigHT(), ConfigSGX()} {
+		for _, noise := range []arch.Cycles{0, 2000} {
+			dp.NoiseInterval = noise
+			b.Run(fmt.Sprintf("%s/noise=%d", dp.Name, noise), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					NewSystem(dp)
+				}
+			})
+		}
 	}
 }

@@ -144,14 +144,19 @@ func (s *System) Core(i int) *Core { return s.cores[i] }
 // placement control (privileged SGX attacker).
 // ---------------------------------------------------------------------------
 
+// allocator records frame ownership. Frames are never freed, so each
+// domain keeps a cursor below which every frame is owned: AllocPage
+// resumes from it instead of rescanning the domain from its first frame.
 type allocator struct {
-	limit int
-	owner map[arch.PageID]int
+	limit  int
+	owner  map[arch.PageID]int
+	cursor map[arch.PageID]arch.PageID // domain's first frame -> its cursor
 }
 
 func (a *allocator) init(limit int) {
 	a.limit = limit
 	a.owner = make(map[arch.PageID]int)
+	a.cursor = make(map[arch.PageID]arch.PageID)
 }
 
 // domainRange returns the frame range core may own ([0, limit) without
@@ -168,13 +173,15 @@ func (s *System) domainRange(core int) (lo, hi arch.PageID) {
 	return lo, hi
 }
 
-// AllocPage hands the next free frame (within the core's domain, when
+// AllocPage hands the lowest free frame (within the core's domain, when
 // isolation is on) to the owner core.
 func (s *System) AllocPage(core int) arch.PageID {
 	lo, hi := s.domainRange(core)
-	for p := lo; p < hi; p++ {
+	p := max(lo, s.alloc.cursor[lo])
+	for ; p < hi; p++ {
 		if _, taken := s.alloc.owner[p]; !taken {
 			s.alloc.owner[p] = core
+			s.alloc.cursor[lo] = p + 1
 			return p
 		}
 	}
