@@ -85,17 +85,20 @@ bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkRunAll' -benchtime=1x .
 
 # Substrate microbenchmarks + fixed-grid sweep throughput as a
-# machine-readable record (DESIGN.md §11). bench-json refreshes the
-# current PR's committed record; bench-gate re-measures, writes the
-# fresh record to /tmp/BENCH_ci.json (CI uploads it), and fails if any microbenchmark's
-# ns/op regressed >10% against the newest committed BENCH_<N>.json —
-# the highest N, compared as a number (BENCH_16 is newer than BENCH_8).
-# CI runs this target, so the selection has one definition. Host-time
-# measurements: outside the determinism contract.
+# machine-readable record (DESIGN.md §11). `make bench-json N=<pr>`
+# writes the current PR's record, BENCH_<pr>.json, and refuses to run
+# without a numeric N. bench-gate re-measures, writes the fresh record
+# to /tmp/BENCH_ci.json (CI uploads it), and fails if any
+# microbenchmark's ns/op regressed >10% or its allocs/op rose at all
+# against the newest committed BENCH_<N>.json — the highest N, compared
+# as a number (BENCH_16 is newer than BENCH_8). CI runs this target, so
+# the selection has one definition. Host-time measurements: outside the
+# determinism contract.
 BENCH_LATEST = $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)
 
 bench-json:
-	$(GO) run ./cmd/metaleak bench -baseline -out BENCH_8.json
+	@case "$(N)" in ''|*[!0-9]*) echo "bench-json: usage: make bench-json N=<pr> (writes BENCH_<pr>.json)"; exit 1;; esac
+	$(GO) run ./cmd/metaleak bench -baseline -out BENCH_$(N).json
 
 bench-gate:
 	@test -n "$(BENCH_LATEST)" || { echo "bench-gate: no committed BENCH_*.json to compare against"; exit 1; }

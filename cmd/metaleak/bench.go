@@ -18,7 +18,7 @@ func benchCmd(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit the record as JSON on stdout")
 	out := fs.String("out", "", "write the JSON record to FILE")
-	gate := fs.String("gate", "", "compare against the committed record in FILE; exit non-zero on >tol regression")
+	gate := fs.String("gate", "", "compare against the committed record in FILE; exit non-zero on a >tol ns/op regression or any rise in allocs/op")
 	tol := fs.Float64("tol", 10, "gate tolerance: maximum tolerated ns/op regression, in percent")
 	baseline := fs.Bool("baseline", false, "embed the recorded pre-PR-8 seed measurements as the record's baseline")
 	if _, err := parseInterleaved(fs, args); err != nil {
@@ -84,7 +84,7 @@ func benchCmd(args []string) error {
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "# bench: REGRESSION %s\n", r)
 		}
-		return fmt.Errorf("bench: %d benchmark(s) regressed more than %.0f%% vs %s", len(regs), *tol, *gate)
+		return fmt.Errorf("bench: %d regression(s) vs %s (ns/op beyond %.0f%% or more allocs/op)", len(regs), *gate, *tol)
 	}
 	return nil
 }

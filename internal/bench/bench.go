@@ -1,8 +1,9 @@
 // Package bench runs the repository's substrate microbenchmarks in-process
 // and emits a machine-readable performance record (the committed
 // BENCH_<pr>.json files). The record is what `make bench-gate` compares
-// across commits: a >10% ns/op regression on any microbenchmark fails the
-// gate, so hot-path performance is a tested property rather than folklore.
+// across commits: a >10% ns/op regression or any rise in allocs/op on any
+// microbenchmark fails the gate, so hot-path performance is a tested
+// property rather than folklore.
 //
 // The substrate benchmark bodies live here once; the root package's
 // bench_test.go wraps them (BenchmarkSecureRead and friends). They
@@ -232,21 +233,27 @@ func Run() (Record, error) {
 // Regression describes one gate violation.
 type Regression struct {
 	Benchmark string
-	PrevNs    float64
-	CurrNs    float64
-	Ratio     float64 // curr/prev
+	Metric    string // "ns/op" or "allocs/op"
+	Prev      float64
+	Curr      float64
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op (%.1f%% slower)",
-		r.Benchmark, r.PrevNs, r.CurrNs, (r.Ratio-1)*100)
+	s := fmt.Sprintf("%s: %.0f %s -> %.0f %s", r.Benchmark, r.Prev, r.Metric, r.Curr, r.Metric)
+	if r.Metric == "ns/op" {
+		s += fmt.Sprintf(" (%.1f%% slower)", (r.Curr/r.Prev-1)*100)
+	}
+	return s
 }
 
 // Gate compares the current record against a previously committed one and
 // returns every microbenchmark whose ns/op regressed by more than tol
-// (0.10 = 10%). Benchmarks present only on one side are ignored: adding a
-// new benchmark must not fail the gate retroactively, and a removed one
-// has nothing to compare.
+// (0.10 = 10%) or whose allocs/op rose at all: allocation counts do not
+// depend on the host, so any rise is a change in the code. bytes/op is
+// not compared, because it is amortised over the run and moves by a few
+// bytes between builds of the same code. Benchmarks present only on one
+// side are ignored: adding a new benchmark must not fail the gate
+// retroactively, and a removed one has nothing to compare.
 func Gate(prev, curr Record, tol float64) []Regression {
 	names := make([]string, 0, len(curr.Benchmarks))
 	for name := range curr.Benchmarks {
@@ -256,13 +263,15 @@ func Gate(prev, curr Record, tol float64) []Regression {
 	var out []Regression
 	for _, name := range names {
 		p, ok := prev.Benchmarks[name]
-		if !ok || p.NsPerOp <= 0 {
+		if !ok {
 			continue
 		}
 		c := curr.Benchmarks[name]
-		ratio := c.NsPerOp / p.NsPerOp
-		if ratio > 1+tol {
-			out = append(out, Regression{Benchmark: name, PrevNs: p.NsPerOp, CurrNs: c.NsPerOp, Ratio: ratio})
+		if p.NsPerOp > 0 && c.NsPerOp > p.NsPerOp*(1+tol) {
+			out = append(out, Regression{Benchmark: name, Metric: "ns/op", Prev: p.NsPerOp, Curr: c.NsPerOp})
+		}
+		if c.AllocsPerOp > p.AllocsPerOp {
+			out = append(out, Regression{Benchmark: name, Metric: "allocs/op", Prev: float64(p.AllocsPerOp), Curr: float64(c.AllocsPerOp)})
 		}
 	}
 	return out

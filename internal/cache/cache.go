@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"metaleak/internal/arch"
 )
@@ -54,17 +55,39 @@ type line struct {
 // chunks that never move, each twice the size of the one before, up to
 // maxChunkSets sets. A slot holds chunk<<chunkBits | offset, the set's
 // position in that storage, so a machine pays for the sets its run
-// touches rather than for every line of every cache.
+// touches rather than for every line of every cache. Until its first
+// Insert a cache has no slot array of its own either: it reads a shared
+// all-zero one (coldSlots), so a cache nothing is inserted into, such as
+// the L1 and L2 of a core a run never uses, costs no per-set storage.
 const (
 	chunkBits    = 10
 	maxChunkSets = 1 << chunkBits
 )
 
+// cold is the all-zero slot array that caches share until their first
+// Insert, sliced to each cache's set count and replaced by a longer one
+// for a cache with more sets. Nothing writes it, so caches of machines on
+// different goroutines share it safely.
+var cold struct {
+	sync.Mutex
+	slots []uint32
+}
+
+// coldSlots returns a shared all-zero slot array of n sets.
+func coldSlots(n int) []uint32 {
+	cold.Lock()
+	defer cold.Unlock()
+	if len(cold.slots) < n {
+		cold.slots = make([]uint32, n)
+	}
+	return cold.slots[:n:n]
+}
+
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator is single-threaded by design (determinism).
 type Cache struct {
 	cfg    Config
-	slot   []uint32 // per set: its storage position, 0 (the cold set) before its first Insert
+	slot   []uint32 // per set: its storage position, 0 (the cold set) before its first Insert; see coldSlots
 	chunks [][]line // line storage, the cold set first; a chunk's length is the lines handed out
 	tick   uint64
 	stats  Stats
@@ -88,7 +111,7 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, n))
 	}
-	return &Cache{cfg: cfg, slot: make([]uint32, n), chunks: [][]line{make([]line, cfg.Ways)}}
+	return &Cache{cfg: cfg, slot: coldSlots(n), chunks: [][]line{make([]line, cfg.Ways)}}
 }
 
 // lines returns set si's ways.
@@ -104,6 +127,11 @@ func (c *Cache) lines(si int) []line {
 func (c *Cache) fill(si int) []line {
 	w := c.cfg.Ways
 	last := len(c.chunks) - 1
+	if last == 0 {
+		// The first fill (only the cold set exists yet): the shared slot
+		// array is read-only, so the cache takes its own before writing.
+		c.slot = make([]uint32, len(c.slot))
+	}
 	if len(c.chunks[last]) == cap(c.chunks[last]) {
 		c.chunks = append(c.chunks, make([]line, 0, min(2*cap(c.chunks[last]), maxChunkSets*w)))
 		last++

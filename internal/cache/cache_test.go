@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -175,4 +176,56 @@ func (c *Cache) Occupancy(b arch.BlockID) int {
 		}
 	}
 	return n
+}
+
+// TestColdCachesShareSlotArray: caches nothing has been inserted into
+// share one all-zero slot array, and a cache's first Insert gives it its
+// own without writing the shared one.
+func TestColdCachesShareSlotArray(t *testing.T) {
+	a, b := mk(t, 1<<20, 4), mk(t, 1<<20, 4)
+	if &a.slot[0] != &b.slot[0] {
+		t.Fatal("two cold caches of one geometry hold separate slot arrays")
+	}
+	a.Insert(5, false)
+	if &a.slot[0] == &b.slot[0] {
+		t.Fatal("the first Insert left the cache on the shared slot array")
+	}
+	if !a.Access(5, false) || b.Access(5, false) {
+		t.Fatal("a block inserted into one cache must hit there and miss in the other")
+	}
+	for si, v := range coldSlots(len(b.slot)) {
+		if v != 0 {
+			t.Fatalf("shared cold slot array written at set %d", si)
+		}
+	}
+	if c := mk(t, 1<<20, 4); &c.slot[0] != &coldSlots(len(c.slot))[0] {
+		t.Fatal("a new cold cache does not read the shared slot array")
+	}
+}
+
+// TestColdSlotArraysConcurrent builds, fills and probes caches of one
+// geometry on several goroutines at once; under -race it fails if a
+// first Insert writes the slot array the other caches still share.
+func TestColdSlotArraysConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				c := New(Config{Name: "t", SizeBytes: 64 << 10, Ways: 4, HitLatency: 1})
+				base := arch.BlockID(g * 4096)
+				for i := 0; i < 64; i++ {
+					c.Insert(base+arch.BlockID(i*7), false)
+				}
+				for i := 0; i < 64; i++ {
+					if !c.Access(base+arch.BlockID(i*7), false) {
+						t.Errorf("goroutine %d round %d: block %d missed after Insert", g, round, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -15,6 +15,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
+	"sync"
 
 	"metaleak/internal/arch"
 )
@@ -36,15 +37,9 @@ type Config struct {
 
 // Engine is the security engine. Not safe for concurrent use.
 type Engine struct {
-	cfg Config
-	aes cipher.Block
-	// h is the GHASH subkey H (big-endian halves). Deliberately not a
-	// //metalint:secret seed: MAC outputs are integrity metadata stored
-	// in public memory, so h-derived values legitimately reach every
-	// counter and tree node the attacker observes — in the paper's
-	// model the subkey is not what the channels recover.
-	h     [2]uint64
-	tbl   ghashTable
+	cfg   Config
+	aes   cipher.Block
+	tbl   *ghashTable // shared by every engine; see subkey
 	fastK uint64
 	// pad and seed are scratch buffers for otp: the AES interface call
 	// forces its arguments to escape, so stack buffers would heap-allocate
@@ -53,21 +48,38 @@ type Engine struct {
 	seed [16]byte
 }
 
-// New builds an engine under the machine's fixed AES key.
-func New(cfg Config) *Engine {
+// newCipher keys AES with the machine's fixed key, the one key every
+// engine uses.
+func newCipher() cipher.Block {
 	blk, err := aes.NewCipher([]byte("metaleak-aes-key"))
 	if err != nil {
 		panic("crypto: " + err.Error())
 	}
-	e := &Engine{cfg: cfg, aes: blk}
-	// Derive the GHASH subkey H = AES_k(0^128), as in GCM.
+	return blk
+}
+
+// subkey returns the GHASH subkey H = AES_k(0^128), as in GCM (big-endian
+// halves), and its multiply table. The key is fixed, so both are the same
+// for every engine: they are built once per process and shared read-only,
+// which keeps the 8 KiB table out of each engine's construction.
+//
+// H is deliberately not a //metalint:secret seed: MAC outputs are
+// integrity metadata stored in public memory, so H-derived values
+// legitimately reach every counter and tree node the attacker observes —
+// in the paper's model the subkey is not what the channels recover.
+var subkey = sync.OnceValues(func() ([2]uint64, *ghashTable) {
 	var zero, hb [16]byte
-	blk.Encrypt(hb[:], zero[:])
-	e.h[0] = binary.BigEndian.Uint64(hb[0:8])
-	e.h[1] = binary.BigEndian.Uint64(hb[8:16])
-	e.tbl.init(e.h)
-	e.fastK = e.h[0] ^ e.h[1] | 1
-	return e
+	newCipher().Encrypt(hb[:], zero[:])
+	h := [2]uint64{binary.BigEndian.Uint64(hb[0:8]), binary.BigEndian.Uint64(hb[8:16])}
+	t := new(ghashTable)
+	t.init(h)
+	return h, t
+})
+
+// New builds an engine under the machine's fixed AES key.
+func New(cfg Config) *Engine {
+	h, tbl := subkey()
+	return &Engine{cfg: cfg, aes: newCipher(), tbl: tbl, fastK: h[0] ^ h[1] | 1}
 }
 
 // HashLatency returns the modelled latency of one MAC or node hash.
@@ -144,7 +156,7 @@ func (e *Engine) MACOf(ct *Block, b arch.BlockID, ctr uint64) uint64 {
 		return mix(mix(h, uint64(b), e.fastK), ctr, e.fastK)
 	}
 	var g ghash
-	g.init(&e.tbl)
+	g.init(e.tbl)
 	for ck := 0; ck < chunksPerBlock; ck++ {
 		g.update(binary.BigEndian.Uint64(ct[ck*16:]), binary.BigEndian.Uint64(ct[ck*16+8:]))
 	}
@@ -169,7 +181,7 @@ func (e *Engine) HashBytes(data []byte) uint64 {
 	}
 	n := len(data)
 	var g ghash
-	g.init(&e.tbl)
+	g.init(e.tbl)
 	for len(data) >= 16 {
 		g.update(binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:]))
 		data = data[16:]

@@ -176,9 +176,8 @@ func TestGhashTableMatchesBitSerial(t *testing.T) {
 	f := func(h0, h1, y0, y1 uint64) bool {
 		var tbl ghashTable
 		tbl.init([2]uint64{h0, h1})
-		y := [2]uint64{y0, y1}
-		tbl.mul(&y)
-		return y == gfMul([2]uint64{y0, y1}, [2]uint64{h0, h1})
+		z0, z1 := tbl.mul(y0, y1)
+		return [2]uint64{z0, z1} == gfMul([2]uint64{y0, y1}, [2]uint64{h0, h1})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -5,11 +5,14 @@ package crypto
 // evaluation over GF(2^128) with the field defined by
 // x^128 + x^7 + x^2 + x + 1.
 //
-// The multiply uses Shoup's 4-bit table method: the engine precomputes
-// H·i for every 4-bit i once per key, and each 128-bit block then costs 32
-// table lookups instead of a 128-round bit-serial loop — the dominant cost
-// of every secure access before this. The bit-serial gfMul is kept as the
-// reference implementation; a property test pins the table method to it.
+// Multiplying by the subkey H is linear over GF(2), so it splits over the
+// 32 nibbles of the operand: a per-position table holds H times every
+// 4-bit value at every nibble position, and a 128-bit multiply is the XOR
+// of 32 independent lookups, with no shift or reduction step between them
+// (the reduction is folded into the table). The table is 8 KiB, and every
+// engine shares the one built for the fixed key (subkey in engine.go).
+// The bit-serial gfMul is kept as the reference implementation; property
+// tests pin the table multiply and the whole MAC and node hash to it.
 // The simulator charges a fixed HashLatency regardless, so host-side
 // constant-time behaviour is irrelevant here.
 
@@ -17,23 +20,13 @@ package crypto
 // eight bytes (big-endian), [1] the second eight, and the most significant
 // bit of [0] is the coefficient of x^0.
 
-// ghashReduction[i] is the polynomial reduction of i·x^{-4} folded back
-// into the top 16 bits (the standard GCM 4-bit reduction table).
-var ghashReduction = [16]uint64{
-	0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
-	0xe100, 0xfd20, 0xd940, 0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0,
-}
-
-// ghashTable holds the per-key precomputation: product[i] = H · i, indexed
-// by the 4-bit reversed value of i (so the inner loop can consume nibbles
-// low-first without re-reversing).
+// ghashTable is the multiply table of one subkey H: product[i][n] is H
+// times the 4-bit value n placed at nibble position i. Position i holds
+// the coefficients of x^{4i}..x^{4i+3}, so positions 0-15 are the nibbles
+// of [0] and 16-31 those of [1], most significant first, and n's most
+// significant bit is the coefficient of x^{4i}.
 type ghashTable struct {
-	product [16][2]uint64
-}
-
-// reverse4 reverses the bits of a 4-bit value.
-func reverse4(i int) int {
-	return (i&8)>>3 | (i&4)>>1 | (i&2)<<1 | (i&1)<<3
+	product [32][16][2]uint64
 }
 
 // double multiplies an element by x (a right shift in GCM bit order, with
@@ -48,36 +41,36 @@ func double(v [2]uint64) [2]uint64 {
 	return v
 }
 
-// init fills the multiplication table for subkey h.
+// init fills the table for subkey h: the single-bit entries of position i
+// are H·x^{4i}..H·x^{4i+3}, and every other entry is the XOR of the
+// entries for its bits.
 func (t *ghashTable) init(h [2]uint64) {
-	t.product[reverse4(1)] = h
-	for i := 2; i < 16; i += 2 {
-		d := double(t.product[reverse4(i/2)])
-		t.product[reverse4(i)] = d
-		t.product[reverse4(i+1)] = [2]uint64{d[0] ^ h[0], d[1] ^ h[1]}
+	v := h
+	for i := range t.product {
+		p := &t.product[i]
+		for bit := 8; bit > 0; bit >>= 1 {
+			p[bit] = v
+			v = double(v)
+		}
+		for n := 3; n < 16; n++ {
+			if low := n & -n; low != n {
+				p[n] = [2]uint64{p[low][0] ^ p[n^low][0], p[low][1] ^ p[n^low][1]}
+			}
+		}
 	}
 }
 
-// mul multiplies y by the table's subkey H in place.
-func (t *ghashTable) mul(y *[2]uint64) {
-	var z [2]uint64
-	for i := 0; i < 2; i++ {
-		word := y[1]
-		if i == 1 {
-			word = y[0]
-		}
-		for j := 0; j < 64; j += 4 {
-			msw := z[1] & 0xf
-			z[1] = z[1]>>4 | z[0]<<60
-			z[0] >>= 4
-			z[0] ^= ghashReduction[msw] << 48
-			p := &t.product[word&0xf]
-			z[0] ^= p[0]
-			z[1] ^= p[1]
-			word >>= 4
-		}
+// mul returns (y0, y1) times the table's subkey H.
+func (t *ghashTable) mul(y0, y1 uint64) (z0, z1 uint64) {
+	for i := 15; i >= 0; i-- {
+		a := &t.product[i][y0&0xf]
+		b := &t.product[16+i][y1&0xf]
+		z0 ^= a[0] ^ b[0]
+		z1 ^= a[1] ^ b[1]
+		y0 >>= 4
+		y1 >>= 4
 	}
-	*y = z
+	return z0, z1
 }
 
 // ghash is one accumulation in progress.
@@ -93,9 +86,7 @@ func (g *ghash) init(t *ghashTable) {
 
 // update absorbs one 128-bit block: Y <- (Y xor X) * H.
 func (g *ghash) update(hi, lo uint64) {
-	g.y[0] ^= hi
-	g.y[1] ^= lo
-	g.t.mul(&g.y)
+	g.y[0], g.y[1] = g.t.mul(g.y[0]^hi, g.y[1]^lo)
 }
 
 // sum folds the 128-bit state to the 64-bit tag used by the simulator.
@@ -106,7 +97,7 @@ func (g *ghash) sum() uint64 { return g.y[0] ^ g.y[1] }
 // reference the table method is tested against; production paths use
 // ghashTable.mul.
 //
-//metalint:allow deadcode reference model for TestGhashTableMatchesBitSerial
+//metalint:allow deadcode reference model for TestGhashTableMatchesBitSerial and TestHashMatchesBitSerialGHASH
 func gfMul(x, y [2]uint64) [2]uint64 {
 	var z [2]uint64
 	v := y
