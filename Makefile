@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-json bench-gate
+.PHONY: check build fmt vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke run-golden bench bench-json bench-gate
 
 check: fmt vet metalint lint-inventory secretflow-test test dispatch-race
 
@@ -77,6 +77,16 @@ hunt-smoke:
 	awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($$i == "err") e = i; next } \
 		!e || $$e != "" { print "hunt-smoke: noisy row failed: " $$0; bad = 1 } \
 		END { exit bad || !e || NR < 2 }' /tmp/hunt-noise.csv
+
+# The experiment byte-identity gate: all 21 experiments at seed 7 must
+# reproduce the committed JSON byte for byte. A change that is meant to
+# alter an experiment's output regenerates the golden (after auditing the
+# diff) by copying /tmp/run-golden.json over it.
+RUN_GOLDEN = internal/experiments/testdata/run-all-seed7.json
+
+run-golden:
+	$(GO) run ./cmd/metaleak run all -json -seed 7 -par 2 > /tmp/run-golden.json
+	diff $(RUN_GOLDEN) /tmp/run-golden.json
 
 # Sequential vs GOMAXPROCS-parallel wall-clock over the full experiment
 # registry: the speedup the spec/trial/merge harness buys on this

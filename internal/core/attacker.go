@@ -97,23 +97,17 @@ func (a *Attacker) FramesUnder(ref itree.NodeRef, limit int) []arch.PageID {
 // coverage is the whole secure region.
 func (a *Attacker) VisitFramesUnder(ref itree.NodeRef, fn func(arch.PageID) bool) bool {
 	lo, hi := a.counterIndexRange(ref)
-	base := arch.CounterBase.Block()
-	// Counter-block indices enumerate pages in address order, so a page
-	// can only repeat consecutively (several counter blocks covering one
-	// page); a last-seen check replaces an unbounded dedup set.
-	var last arch.PageID
-	first := true
-	for i := lo; i < hi; i++ {
-		for _, db := range a.MC.Counters().DataBlocksOf(base + arch.BlockID(i)) {
-			p := db.Page()
-			if !first && p == last {
-				continue
-			}
-			first = false
-			last = p
-			if a.Sys.Owner(p) == -1 && fn(p) {
-				return true
-			}
+	if lo >= hi {
+		return false
+	}
+	// Counter block i covers data blocks [i·fan, (i+1)·fan) of one page,
+	// so a run of counter blocks covers the run of pages from its first
+	// block's page to its last block's.
+	fan := a.MC.Counters().FanOut()
+	last := arch.BlockID((hi - 1) * fan).Page()
+	for p := arch.BlockID(lo * fan).Page(); p <= last; p++ {
+		if a.Sys.Owner(p) == -1 && fn(p) {
+			return true
 		}
 	}
 	return false

@@ -54,7 +54,7 @@ func NewCovertT(trojan, spy *Attacker, level int) (*CovertT, error) {
 	// One level-l node covers cov counter blocks; translate to pages via
 	// the scheme's counter-block fan-out.
 	cov := trojan.tree().CoverageCounterBlocks(level)
-	blocksPerCB := len(trojan.MC.Counters().DataBlocksOf(arch.CounterBase.Block()))
+	blocksPerCB := trojan.MC.Counters().FanOut()
 	stridePages := cov * blocksPerCB / arch.BlocksPerPage
 	if stridePages < 1 {
 		stridePages = 1

@@ -26,12 +26,29 @@ type EvictionSet struct {
 // with the target metadata block's cache set and returns the resulting
 // set. Frames whose verification path passes through any node in avoid
 // are skipped, so running the set never re-loads the node being evicted.
+//
+// The candidates are computed, not searched for. The metadata cache
+// indexes a block by its low bits, and the counter region's first block
+// (CounterBase.Block(), 2^34) is aligned for every power-of-two set
+// count, so counter block i of the region lands in set i mod sets: the
+// candidates are the indices targetSet, targetSet+sets, ... Counter
+// block i covers data blocks [i·fan, (i+1)·fan) of one page, so its
+// first data block is the one to touch and that block's page the frame
+// to claim. Frames ascend with the index and are claimed in address
+// order, one block each: once a frame is owned (beforehand, or just
+// claimed here) its later indices are passed over, and an avoided index
+// gives way to the frame's next one, which exists only when sets is
+// smaller than fan. No counter block can repeat across frames (under SC
+// each frame has its own, under MoC/GC its own eight), so the set needs
+// no duplicate check. TestBuildEvictionSetMatchesScan holds the walk to
+// a scan of every block of every frame.
 func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) (*EvictionSet, error) {
 	meta := a.MC.Meta()
 	if meta == nil {
 		return nil, fmt.Errorf("core: randomized metadata cache — no stable set mapping for conflict-based eviction (use VolumeMonitor)")
 	}
 	want := 2 * meta.Config().Ways
+	sets := meta.Config().Sets()
 	targetSet := meta.SetIndex(target)
 
 	avoidRange := make([][2]int, 0, len(avoid))
@@ -39,9 +56,7 @@ func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) 
 		lo, hi := a.counterIndexRange(ref)
 		avoidRange = append(avoidRange, [2]int{lo, hi})
 	}
-	cbIndexOf := func(cb arch.BlockID) int { return int(cb - arch.CounterBase.Block()) }
-	avoided := func(cb arch.BlockID) bool {
-		i := cbIndexOf(cb)
+	avoided := func(i int) bool {
 		for _, r := range avoidRange {
 			if i >= r[0] && i < r[1] {
 				return true
@@ -50,33 +65,22 @@ func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) 
 		return false
 	}
 
-	es := &EvictionSet{Target: target}
-	seenCB := make(map[arch.BlockID]bool)
+	es := &EvictionSet{Target: target, Blocks: make([]arch.BlockID, 0, want)}
+	fan := a.MC.Counters().FanOut()
 	limit := arch.PageID(a.Sys.SecurePages())
-	for frame := arch.PageID(0); frame < limit && len(es.Blocks) < want; frame++ {
-		if a.Sys.Owner(frame) != -1 {
-			continue
-		}
-		// Find a block in this frame whose counter block lands in the set.
-		var pick arch.BlockID
-		found := false
-		for i := 0; i < arch.BlocksPerPage; i++ {
-			b := frame.Block(i)
-			cb := a.MC.Counters().CounterBlock(b)
-			if seenCB[cb] || avoided(cb) || meta.SetIndex(cb) != targetSet {
-				continue
-			}
-			pick, found = b, true
-			seenCB[cb] = true
+	for i := targetSet; len(es.Blocks) < want; i += sets {
+		b := arch.BlockID(i * fan)
+		frame := b.Page()
+		if frame >= limit {
 			break
 		}
-		if !found {
+		if a.Sys.Owner(frame) != -1 || avoided(i) {
 			continue
 		}
 		if err := a.ClaimFrame(frame); err != nil {
 			return nil, err
 		}
-		es.Blocks = append(es.Blocks, pick)
+		es.Blocks = append(es.Blocks, b)
 	}
 	if len(es.Blocks) < want {
 		return nil, fmt.Errorf("core: found only %d/%d eviction blocks for set %d", len(es.Blocks), want, targetSet)

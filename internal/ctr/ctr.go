@@ -54,10 +54,12 @@ type Scheme interface {
 	// for integrity verification by the tree). cb must be a block returned
 	// by CounterBlock.
 	BlockBytes(cb arch.BlockID) [arch.BlockSize]byte
-	// DataBlocksOf enumerates the data blocks whose counters live in the
-	// given counter block (the reverse of CounterBlock). Used by attack
-	// address arithmetic.
-	DataBlocksOf(cb arch.BlockID) []arch.BlockID
+	// FanOut returns how many data blocks share one counter block. They
+	// are consecutive and lie in one page: counter block
+	// CounterBase.Block()+i holds the counters of data blocks
+	// [i·FanOut, (i+1)·FanOut). This is the reverse of CounterBlock that
+	// attack address arithmetic uses.
+	FanOut() int
 	// CorruptCounter flips counter state covering b (tamper injection:
 	// physical corruption of the counter block in memory): the per-block
 	// minor/counter low bit, or — with major set — the shared major
@@ -106,7 +108,10 @@ type pageCounters struct {
 
 // SC is the split-counter scheme.
 type SC struct {
-	cfg   SCConfig
+	cfg SCConfig
+	// pages holds the pages an Increment or CorruptCounter has touched.
+	// Every other page's counters are all zero, and readers take a
+	// missing page as that, so reading a page costs no entry.
 	pages map[arch.PageID]*pageCounters
 }
 
@@ -142,15 +147,8 @@ func (s *SC) PageOfCounterBlock(cb arch.BlockID) arch.PageID {
 	return arch.PageID(cb - counterBase())
 }
 
-// DataBlocksOf implements Scheme.
-func (s *SC) DataBlocksOf(cb arch.BlockID) []arch.BlockID {
-	p := s.PageOfCounterBlock(cb)
-	out := make([]arch.BlockID, arch.BlocksPerPage)
-	for i := range out {
-		out[i] = p.Block(i)
-	}
-	return out
-}
+// FanOut implements Scheme: a counter block covers one page.
+func (s *SC) FanOut() int { return arch.BlocksPerPage }
 
 func (s *SC) fused(major uint64, minor uint16) uint64 {
 	return major<<s.cfg.MinorBits | uint64(minor)
@@ -158,14 +156,21 @@ func (s *SC) fused(major uint64, minor uint16) uint64 {
 
 // Value implements Scheme: the fused counter major‖minor.
 func (s *SC) Value(b arch.BlockID) uint64 {
-	pc := s.page(b.Page())
+	pc := s.pages[b.Page()]
+	if pc == nil {
+		return 0
+	}
 	return s.fused(pc.major, pc.minors[b.Index()])
 }
 
 // MinorValue returns the raw minor counter of a data block — the state the
 // MetaLeak-C mPreset step manipulates.
 func (s *SC) MinorValue(b arch.BlockID) uint64 {
-	return uint64(s.page(b.Page()).minors[b.Index()])
+	pc := s.pages[b.Page()]
+	if pc == nil {
+		return 0
+	}
+	return uint64(pc.minors[b.Index()])
 }
 
 // Increment implements Scheme (Algorithm 1 for the SC scheme): the minor
@@ -216,7 +221,10 @@ func (s *SC) CorruptCounter(b arch.BlockID, major bool) {
 // bytes holding the 64 packed 7-bit minors (the Table I layout). Wider
 // minors (ablation configs) fall back to byte packing of the low 8 bits.
 func (s *SC) BlockBytes(cb arch.BlockID) [arch.BlockSize]byte {
-	pc := s.page(s.PageOfCounterBlock(cb))
+	pc := s.pages[s.PageOfCounterBlock(cb)]
+	if pc == nil {
+		return [arch.BlockSize]byte{} // all-zero counters pack to zero bytes
+	}
 	if pc.serialOK {
 		return pc.serial
 	}
@@ -290,15 +298,8 @@ const ctrsPerBlock = arch.BlockSize / 8
 // CounterBlock implements Scheme: eight 64-bit counter slots per block.
 func (m *MoC) CounterBlock(b arch.BlockID) arch.BlockID { return PackedCounterBlock(b) }
 
-// DataBlocksOf implements Scheme.
-func (m *MoC) DataBlocksOf(cb arch.BlockID) []arch.BlockID {
-	base := arch.BlockID(uint64(cb-counterBase()) * ctrsPerBlock)
-	out := make([]arch.BlockID, ctrsPerBlock)
-	for i := range out {
-		out[i] = base + arch.BlockID(i)
-	}
-	return out
-}
+// FanOut implements Scheme: one slot per data block.
+func (m *MoC) FanOut() int { return ctrsPerBlock }
 
 // Value implements Scheme; the key epoch occupies the seed bits above the
 // counter so that re-keying changes every block's effective seed. Every
@@ -358,8 +359,8 @@ func (m *MoC) CorruptCounter(b arch.BlockID, major bool) {
 	m.counters[b] ^= 1
 }
 
-// BlockBytes implements Scheme. The slot loop mirrors DataBlocksOf
-// without materializing the slice.
+// BlockBytes implements Scheme: the slots of the block's FanOut data
+// blocks, in address order.
 func (m *MoC) BlockBytes(cb arch.BlockID) [arch.BlockSize]byte {
 	var out [arch.BlockSize]byte
 	base := arch.BlockID(uint64(cb-counterBase()) * ctrsPerBlock)
@@ -411,15 +412,8 @@ func (g *GC) max() uint64 { return 1<<g.cfg.Bits - 1 }
 // CounterBlock implements Scheme: snapshots are stored like MoC counters.
 func (g *GC) CounterBlock(b arch.BlockID) arch.BlockID { return PackedCounterBlock(b) }
 
-// DataBlocksOf implements Scheme.
-func (g *GC) DataBlocksOf(cb arch.BlockID) []arch.BlockID {
-	base := arch.BlockID(uint64(cb-counterBase()) * ctrsPerBlock)
-	out := make([]arch.BlockID, ctrsPerBlock)
-	for i := range out {
-		out[i] = base + arch.BlockID(i)
-	}
-	return out
-}
+// FanOut implements Scheme: one snapshot slot per data block.
+func (g *GC) FanOut() int { return ctrsPerBlock }
 
 // Value implements Scheme. Like MoC.Value, the queried block joins the
 // touched set so a later re-key re-encrypts it.
@@ -478,8 +472,8 @@ func (g *GC) CorruptCounter(b arch.BlockID, major bool) {
 	g.snapshots[b] ^= 1
 }
 
-// BlockBytes implements Scheme. The slot loop mirrors DataBlocksOf
-// without materializing the slice.
+// BlockBytes implements Scheme: the slots of the block's FanOut data
+// blocks, in address order.
 func (g *GC) BlockBytes(cb arch.BlockID) [arch.BlockSize]byte {
 	var out [arch.BlockSize]byte
 	base := arch.BlockID(uint64(cb-counterBase()) * ctrsPerBlock)

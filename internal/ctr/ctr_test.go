@@ -112,9 +112,29 @@ func TestSCCounterBlockMapping(t *testing.T) {
 	if s.PageOfCounterBlock(cb) != 1234 {
 		t.Fatal("round trip page mapping failed")
 	}
-	blocks := s.DataBlocksOf(cb)
-	if len(blocks) != arch.BlocksPerPage || blocks[17] != b {
-		t.Fatal("DataBlocksOf wrong")
+	if s.FanOut() != arch.BlocksPerPage || cb-arch.CounterBase.Block() != 1234 {
+		t.Fatal("counter block does not cover exactly its page")
+	}
+}
+
+// TestSCReadsMaterializeNoPage reads counters of pages no write touched:
+// they read as zero and leave no page state behind, and a page's state
+// once written reads as before.
+func TestSCReadsMaterializeNoPage(t *testing.T) {
+	s := NewSC(SCConfig{})
+	for p := arch.PageID(0); p < 100; p++ {
+		b := p.Block(int(p) % arch.BlocksPerPage)
+		if s.Value(b) != 0 || s.MinorValue(b) != 0 || s.BlockBytes(s.CounterBlock(b)) != [arch.BlockSize]byte{} {
+			t.Fatalf("untouched page %d reads non-zero counters", p)
+		}
+	}
+	if len(s.pages) != 0 {
+		t.Fatalf("reads materialized %d pages", len(s.pages))
+	}
+	b := arch.PageID(7).Block(3)
+	v, _ := s.Increment(b)
+	if len(s.pages) != 1 || s.Value(b) != v || s.MinorValue(b) != 1 || s.BlockBytes(s.CounterBlock(b)) == [arch.BlockSize]byte{} {
+		t.Fatal("a written page does not read back its counters")
 	}
 }
 
@@ -214,23 +234,28 @@ func TestQuickSchemesFreshness(t *testing.T) {
 	}
 }
 
-// Property: CounterBlock and DataBlocksOf are mutually consistent for all
-// schemes.
+// Property: FanOut is the reverse of CounterBlock for all schemes — the
+// counter block of data block b is CounterBase.Block()+i exactly when b
+// lies in [i·FanOut, (i+1)·FanOut), and those blocks share b's page.
 func TestQuickCounterBlockRoundTrip(t *testing.T) {
 	schemes := []Scheme{NewSC(SCConfig{}), NewMoC(MoCConfig{}), NewGC(GCConfig{})}
 	for _, s := range schemes {
 		s := s
-		f := func(raw uint16) bool {
+		fan := arch.BlockID(s.FanOut())
+		f := func(raw uint32) bool {
 			b := arch.BlockID(raw)
 			cb := s.CounterBlock(b)
-			for _, db := range s.DataBlocksOf(cb) {
-				if db == b {
-					return true
-				}
+			first := (cb - arch.CounterBase.Block()) * fan
+			last := first + fan - 1
+			if b < first || b > last || first.Page() != last.Page() {
+				return false
 			}
-			return false
+			if s.CounterBlock(first) != cb || s.CounterBlock(last) != cb || s.CounterBlock(last+1) == cb {
+				return false
+			}
+			return first == 0 || s.CounterBlock(first-1) != cb
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}

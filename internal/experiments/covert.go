@@ -131,7 +131,7 @@ func fig12(o Options) (*Result, error) {
 		Header: []string{"level", "interval (cycles)", "coverage (data)", "eviction sets"},
 	}
 	tree := sys.Ctrl.Tree()
-	blocksPerCB := len(sys.Ctrl.Counters().DataBlocksOf(arch.CounterBase.Block()))
+	blocksPerCB := sys.Ctrl.Counters().FanOut()
 	for level := 0; level < tree.StoredLevels()-1; level++ {
 		m, err := a.NewMonitor(vic, level)
 		if err != nil {

@@ -246,8 +246,8 @@ func Run(dp machine.DesignPoint, prog Program, secret []byte) ([]sim.TraceEvent,
 			sys.Idle(arch.Cycles(op.Arg))
 		}
 	}
-	if rec.Total() > uint64(len(rec.Events())) {
-		return nil, fmt.Errorf("hunt: trace ring overflowed (%d events for %d slots)", rec.Total(), len(rec.Events()))
+	if rec.Total() > uint64(rec.Len()) {
+		return nil, fmt.Errorf("hunt: trace ring overflowed (%d events for %d slots)", rec.Total(), rec.Len())
 	}
 	return rec.Events(), nil
 }

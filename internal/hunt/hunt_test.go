@@ -308,3 +308,24 @@ func TestClassifyPriority(t *testing.T) {
 		t.Error("empty mask classified")
 	}
 }
+
+// TestRunRefusesOverflowedTrace runs one access more than the trace ring
+// holds and requires Run to fail rather than return a truncated trace;
+// one access fewer must succeed with every event.
+func TestRunRefusesOverflowedTrace(t *testing.T) {
+	const slots = 1 << 16
+	for _, n := range []int{slots, slots + 1} {
+		prog := Program{Ops: make([]Op, n)} // OpTouch of fixed page 0: one event each
+		evs, err := Run(machine.ConfigSCT(), prog, nil)
+		if n == slots {
+			if err != nil || len(evs) != slots {
+				t.Fatalf("%d accesses: %d events, err %v", n, len(evs), err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("hunt: trace ring overflowed (%d events for %d slots)", n, slots)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%d accesses: err %v, want %q", n, err, want)
+		}
+	}
+}

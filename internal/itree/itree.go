@@ -124,17 +124,18 @@ type geometry struct {
 	nCB     int
 	cbOff   int
 	nodeOff int
-	// pathCache memoizes path() per counter block: the walk is pure
-	// address arithmetic, so the controller's per-miss tree walk need not
-	// re-derive (and re-allocate) it. Callers treat paths as read-only.
-	pathCache map[arch.BlockID][]NodeRef
+	// pathCache memoizes path() per leaf index: the walk is pure address
+	// arithmetic, so the controller's per-miss tree walk need not
+	// re-derive (and re-allocate) it, and the counter blocks under one
+	// leaf share one path. Callers treat paths as read-only.
+	pathCache map[int][]NodeRef
 }
 
 func newGeometry(nCB int, arities []int) geometry {
 	if nCB <= 0 || len(arities) == 0 {
 		panic("itree: empty geometry")
 	}
-	g := geometry{arities: arities, nCB: nCB, pathCache: make(map[arch.BlockID][]NodeRef)}
+	g := geometry{arities: arities, nCB: nCB, pathCache: make(map[int][]NodeRef)}
 	g.counts = make([]int, len(arities))
 	g.bases = make([]int, len(arities))
 	prev := nCB
@@ -197,16 +198,17 @@ func (g *geometry) refOfBlock(b arch.BlockID) (NodeRef, bool) {
 }
 
 func (g *geometry) path(cb arch.BlockID) []NodeRef {
-	if p, ok := g.pathCache[cb]; ok {
+	ref := g.leafRef(cb)
+	if p, ok := g.pathCache[ref.Index]; ok {
 		return p
 	}
+	leaf := ref.Index
 	out := make([]NodeRef, 0, len(g.arities))
-	ref := g.leafRef(cb)
 	out = append(out, ref)
 	for {
 		p, ok := g.parent(ref)
 		if !ok {
-			g.pathCache[cb] = out
+			g.pathCache[leaf] = out
 			return out
 		}
 		out = append(out, p)

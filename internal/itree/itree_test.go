@@ -52,6 +52,10 @@ func TestPathBottomUp(t *testing.T) {
 	if path[0] != (NodeRef{0, 1}) || path[1] != (NodeRef{1, 0}) || path[2] != (NodeRef{2, 0}) {
 		t.Fatalf("path = %v", path)
 	}
+	// The counter blocks under one leaf share one memoized path.
+	if other := tr.Path(cb(63)); &other[0] != &path[0] || len(tr.geo.pathCache) != 1 {
+		t.Fatalf("leaf 1's counter blocks hold %d memoized paths", len(tr.geo.pathCache))
+	}
 }
 
 func TestNodeBlockAddressingRoundTrip(t *testing.T) {

@@ -187,17 +187,16 @@ func (s *Server) serveRendered(w http.ResponseWriter, req *http.Request, render 
 		http.Error(w, "no such sweep", http.StatusNotFound)
 		return
 	}
-	var rows []experiments.SweepRow
 	var state string
 	if req.URL.Query().Get("wait") == "1" {
 		var err error
-		rows, state, err = s.waitDone(req.Context(), r)
+		state, err = s.waitDone(req.Context(), r)
 		if err != nil {
 			return // client went away while waiting
 		}
 	} else {
 		s.mu.Lock()
-		rows, state = r.final, r.State
+		state = r.State
 		s.mu.Unlock()
 		if state == StateQueued || state == StateRunning {
 			http.Error(w, fmt.Sprintf("sweep %s is %s; retry with ?wait=1", r.ID, state), http.StatusConflict)
@@ -211,6 +210,9 @@ func (s *Server) serveRendered(w http.ResponseWriter, req *http.Request, render 
 		http.Error(w, fmt.Sprintf("sweep %s %s: %s", r.ID, state, msg), http.StatusInternalServerError)
 		return
 	}
+	s.mu.Lock()
+	rows := r.gridRows()
+	s.mu.Unlock()
 	render(rows, r)
 }
 

@@ -26,12 +26,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,10 +95,11 @@ type sweepRun struct {
 	State string
 
 	// live collects rows in arrival order (cache-served first, then
-	// completion order) for streaming; final is the grid-ordered result
-	// set, present once the run leaves StateRunning.
-	live  []experiments.SweepRow
-	final []experiments.SweepRow
+	// completion order) for streaming. Each row of the run's output
+	// arrives exactly once (DispatchOptions.OnRow), so a finished run's
+	// grid-ordered result set is live sorted by grid index (gridRows),
+	// and the run keeps no second copy of its rows.
+	live []experiments.SweepRow
 
 	Cached      int // rows served without computing (checkpoint or cell cache)
 	Computed    int // rows settled by workers this run
@@ -259,10 +262,9 @@ func (s *Server) runOne(ctx context.Context, r *sweepRun) {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 
-	finish := func(rows []experiments.SweepRow, state, errMsg string) {
+	finish := func(state, errMsg string) {
 		s.mu.Lock()
 		s.workerAddr = ""
-		r.final = rows
 		r.State = state
 		r.Err = errMsg
 		delete(s.byFP, r.FP)
@@ -272,7 +274,7 @@ func (s *Server) runOne(ctx context.Context, r *sweepRun) {
 
 	ln, err := net.Listen("tcp", s.cfg.WorkerAddr)
 	if err != nil {
-		finish(nil, StateFailed, err.Error())
+		finish(StateFailed, err.Error())
 		return
 	}
 	addr := ln.Addr().String()
@@ -332,12 +334,12 @@ func (s *Server) runOne(ctx context.Context, r *sweepRun) {
 	}
 	switch {
 	case err == nil:
-		finish(rows, StateDone, "")
+		finish(StateDone, "")
 	case errors.Is(err, context.Canceled):
-		finish(rows, StateInterrupted,
+		finish(StateInterrupted,
 			fmt.Sprintf("drained mid-run: %d of %d cells checkpointed; resubmit to resume", len(rows), len(r.Axes.Cells())))
 	default:
-		finish(rows, StateFailed, err.Error())
+		finish(StateFailed, err.Error())
 	}
 }
 
@@ -364,9 +366,17 @@ func (s *Server) get(id string) (*sweepRun, bool) {
 	return r, ok
 }
 
+// gridRows returns a finished run's rows in grid order; s.mu must be
+// held.
+func (r *sweepRun) gridRows() []experiments.SweepRow {
+	rows := slices.Clone(r.live)
+	slices.SortFunc(rows, func(a, b experiments.SweepRow) int { return cmp.Compare(a.Index, b.Index) })
+	return rows
+}
+
 // waitDone blocks until the run leaves queued/running or ctx ends,
-// returning the final grid-ordered rows and terminal state.
-func (s *Server) waitDone(ctx context.Context, r *sweepRun) ([]experiments.SweepRow, string, error) {
+// returning its terminal state.
+func (s *Server) waitDone(ctx context.Context, r *sweepRun) (string, error) {
 	// A cond has no context hook; bridge via a broadcast on ctx end.
 	stop := context.AfterFunc(ctx, s.cond.Broadcast)
 	defer stop()
@@ -374,9 +384,9 @@ func (s *Server) waitDone(ctx context.Context, r *sweepRun) ([]experiments.Sweep
 	defer s.mu.Unlock()
 	for r.State == StateQueued || r.State == StateRunning {
 		if ctx.Err() != nil {
-			return nil, r.State, ctx.Err()
+			return r.State, ctx.Err()
 		}
 		s.cond.Wait()
 	}
-	return r.final, r.State, nil
+	return r.State, nil
 }

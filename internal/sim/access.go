@@ -54,8 +54,11 @@ func (s *System) access(core int, b arch.BlockID, write bool) (result AccessResu
 	if rep.Tampered {
 		s.tampered++
 	}
+	// A fill enters the view only where the view has no entry. Untampered,
+	// the fill then equals the zero block the view already reads, so only
+	// a corrupted one leaves an entry.
 	if _, ok := s.data[b]; !ok {
-		s.data[b] = plain
+		s.setData(b, plain)
 	}
 	lat += rep.Latency
 	s.fillL1(c, b, write)
@@ -92,6 +95,17 @@ func (s *System) fillL1(c *Core, b arch.BlockID, dirty bool) {
 	if ev3.Dirty {
 		s.writeback(ev3.Block)
 	}
+}
+
+// setData records a block's architectural contents. The view keeps no
+// zero block: every reader takes a missing key as the zero block, so a
+// zero fill or a zero store leaves no entry behind.
+func (s *System) setData(b arch.BlockID, v crypto.Block) {
+	if v == (crypto.Block{}) {
+		delete(s.data, b)
+		return
+	}
+	s.data[b] = v
 }
 
 // writeback pushes a dirty block's plaintext through the secure write
@@ -132,7 +146,7 @@ func (s *System) TimedRead(core int, b arch.BlockID) arch.Cycles {
 // Write performs a demand store of a full block.
 func (s *System) Write(core int, b arch.BlockID, data crypto.Block) AccessResult {
 	res := s.access(core, b, true)
-	s.data[b] = data
+	s.setData(b, data)
 	return res
 }
 
@@ -141,7 +155,7 @@ func (s *System) StoreByte(core int, a arch.Addr, v byte) AccessResult {
 	res := s.access(core, a.Block(), true)
 	blk := s.data[a.Block()]
 	blk[a.Offset()] = v
-	s.data[a.Block()] = blk
+	s.setData(a.Block(), blk)
 	return res
 }
 
@@ -236,7 +250,7 @@ func (s *System) maybeNoise(requester int) {
 		b := p.Block(s.rng.Intn(arch.BlocksPerPage))
 		if s.rng.Bool(0.3) {
 			s.access(s.noiseCore, b, true)
-			s.data[b] = crypto.Block{}
+			s.setData(b, crypto.Block{})
 		} else {
 			s.access(s.noiseCore, b, false)
 		}

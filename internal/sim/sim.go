@@ -76,6 +76,8 @@ type System struct {
 
 	// data is the architectural plaintext view of memory. The controller
 	// holds only ciphertext; this map is what programs read and write.
+	// It holds non-zero blocks only (setData): a missing key reads as
+	// the zero block.
 	data map[arch.BlockID]crypto.Block
 	// dirty tracks blocks whose cached copy differs from the encrypted
 	// backing store.

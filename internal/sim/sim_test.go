@@ -269,3 +269,72 @@ func TestCrossSocketPenalty(t *testing.T) {
 		t.Fatalf("remote L1 hit cost %d", h)
 	}
 }
+
+// TestDataViewMatchesEagerView drives seeded Read, Write, StoreByte,
+// Touch and Flush sequences over three pages with the noise process on.
+// A test-side view stores every block it sees, zero or not, as the
+// system's view did before it dropped zero blocks. Every returned
+// plaintext, and every payload a flush writes back (read straight from
+// the controller), must match it, and no zero block may sit in the
+// system's view. Reading blocks no one wrote must add no entries.
+func TestDataViewMatchesEagerView(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		s := newSys(t, 500)
+		var blocks []arch.BlockID
+		for i := 0; i < 3; i++ {
+			p := s.AllocPage(0)
+			for j := 0; j < arch.BlocksPerPage; j++ {
+				blocks = append(blocks, p.Block(j))
+			}
+		}
+		eager := make(map[arch.BlockID]crypto.Block)
+		rng := arch.NewRNG(seed)
+		for i := 0; i < 5000; i++ {
+			b := blocks[rng.Intn(len(blocks))]
+			switch rng.Intn(5) {
+			case 0:
+				if got, _ := s.Read(0, b); got != eager[b] {
+					t.Fatalf("seed %d op %d: read %v = %x, want %x", seed, i, b, got, eager[b])
+				}
+			case 1:
+				var v crypto.Block
+				if rng.Intn(4) != 0 {
+					v[rng.Intn(arch.BlockSize)] = byte(1 + rng.Intn(255))
+				}
+				s.Write(0, b, v)
+				eager[b] = v
+			case 2:
+				off, v := rng.Intn(arch.BlockSize), byte(rng.Intn(3))
+				s.StoreByte(0, b.Addr()+arch.Addr(off), v)
+				blk := eager[b]
+				blk[off] = v
+				eager[b] = blk
+			case 3:
+				s.Touch(0, b)
+				if _, ok := eager[b]; !ok {
+					eager[b] = crypto.Block{}
+				}
+			case 4:
+				s.Flush(0, b)
+				if got, _ := s.mc.Read(s.now, b); got != eager[b] {
+					t.Fatalf("seed %d op %d: written back %v = %x, want %x", seed, i, b, got, eager[b])
+				}
+			}
+		}
+		for _, b := range blocks {
+			if v, ok := s.data[b]; ok && v == (crypto.Block{}) {
+				t.Fatalf("seed %d: zero block %v kept in the view", seed, b)
+			}
+		}
+		n := len(s.data)
+		fresh := s.AllocPage(0)
+		for j := 0; j < arch.BlocksPerPage; j++ {
+			s.Read(0, fresh.Block(j))
+			s.Flush(0, fresh.Block(j))
+			s.Touch(0, fresh.Block(j))
+		}
+		if len(s.data) != n {
+			t.Fatalf("seed %d: reading untouched blocks grew the view from %d to %d entries", seed, n, len(s.data))
+		}
+	}
+}

@@ -58,6 +58,9 @@ func (r *Recorder) Attach(s *sim.System) func() {
 // Total returns how many events matched (including ones the ring dropped).
 func (r *Recorder) Total() uint64 { return r.total }
 
+// Len returns how many events the ring retains, at most its capacity.
+func (r *Recorder) Len() int { return len(r.buf) }
+
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []sim.TraceEvent {
 	out := make([]sim.TraceEvent, 0, len(r.buf))

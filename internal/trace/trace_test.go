@@ -88,11 +88,14 @@ func TestRingWraparoundOrdering(t *testing.T) {
 	r := New(4)
 	hook := r.Hook()
 	for i := 0; i < 10; i++ {
+		if r.Len() != min(i, 4) {
+			t.Fatalf("after %d events Len is %d", i, r.Len())
+		}
 		hook(sim.TraceEvent{Seq: uint64(i), Now: arch.Cycles(100 * i)})
 	}
 	evs := r.Events()
-	if len(evs) != 4 || r.Total() != 10 {
-		t.Fatalf("ring holds %d of %d", len(evs), r.Total())
+	if len(evs) != 4 || r.Len() != 4 || r.Total() != 10 {
+		t.Fatalf("ring holds %d (Len %d) of %d", len(evs), r.Len(), r.Total())
 	}
 	for i, ev := range evs {
 		if want := uint64(6 + i); ev.Seq != want {
