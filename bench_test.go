@@ -152,6 +152,10 @@ func BenchmarkMEvictReloadRound(b *testing.B) { bench.MEvictReloadRound(b) }
 // BenchmarkCounterBump measures one MetaLeak-C bump.
 func BenchmarkCounterBump(b *testing.B) { bench.CounterBump(b) }
 
+// BenchmarkTreeOverflowL4 measures one L4 tree-counter overflow with its
+// re-hash burst posted to DRAM (a counter-leak probe's overflow).
+func BenchmarkTreeOverflowL4(b *testing.B) { bench.TreeOverflowL4(b) }
+
 // BenchmarkAblationSecureOverhead compares secure designs to the
 // unprotected baseline.
 func BenchmarkAblationSecureOverhead(b *testing.B) { runExperiment(b, "ablsec") }

@@ -21,7 +21,10 @@ import (
 
 	"metaleak/internal/arch"
 	"metaleak/internal/core"
+	"metaleak/internal/crypto"
+	"metaleak/internal/dram"
 	"metaleak/internal/experiments"
+	"metaleak/internal/itree"
 	"metaleak/internal/machine"
 )
 
@@ -149,6 +152,37 @@ func CounterBump(b *testing.B) {
 	}
 }
 
+// TreeOverflowL4 measures one L4 tree-counter overflow of a tree shaped
+// like ConfigSCT's, with its re-hash runs posted to DRAM: the host cost
+// of a counter-leak probe's overflow. Its subtree holds 69,905 nodes and
+// 2,097,152 counter blocks. One-bit minors make every write-back of the
+// L3 child after the first overflow its L4 parent.
+func TreeOverflowL4(b *testing.B) {
+	dp := machine.ConfigSCT()
+	tree := itree.NewVTree(itree.VTreeConfig{
+		Name: "SCT", Arities: dp.TreeArities, MinorBits: 1, CounterBlocks: dp.SecurePages,
+	}, crypto.New(crypto.Config{HashLatency: 12, Fast: true}))
+	cfg := machine.DRAMConfig(dp)
+	d := dram.New(cfg)
+	occupancy := cfg.RowHit + cfg.WriteLat + 12
+	child := itree.NodeRef{Level: 3, Index: 0}
+	overflow := func(now arch.Cycles) {
+		up := tree.WritebackNode(child)
+		if up == nil || up.OverflowRef.Level != 4 {
+			b.Fatalf("write-back of %v did not overflow its L4 parent: %+v", child, up)
+		}
+		for _, r := range up.Rehashed {
+			d.Background(now, r.First, r.N, occupancy)
+		}
+	}
+	tree.WritebackNode(child)
+	overflow(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		overflow(arch.Cycles(i) * 1000)
+	}
+}
+
 // substrate names the microbenchmarks in the record.
 var substrate = []struct {
 	Name string
@@ -158,6 +192,7 @@ var substrate = []struct {
 	{"SecureWrite", SecureWrite},
 	{"MEvictReloadRound", MEvictReloadRound},
 	{"CounterBump", CounterBump},
+	{"TreeOverflowL4", TreeOverflowL4},
 }
 
 // sweepAxes is the fixed grid the throughput measurement runs: one design

@@ -97,6 +97,75 @@ func isolatedOverflows(t *testing.T) overflowState {
 	return captureOverflowState(sys, probes)
 }
 
+// nestedOverflows nests overflows at different levels over the same
+// leaves: one page's leaf minor, then the minor its L1 ancestor holds for
+// that leaf, then the leaf again, then the L2 ancestor's minor for the
+// L1 node, the leaf, the L1 ancestor and the leaf once more. Every phase
+// ends with verified reads of the page under evicted metadata, so a
+// reset that leaves a node or a counter hash out of date shows as a
+// tamper detection or a changed fetch count.
+func nestedOverflows(t *testing.T) overflowState {
+	dp := machine.ConfigSCT()
+	dp.Seed = 29
+	dp.FastCrypto = true
+	sys := machine.NewSystem(dp)
+	a := NewAttacker(sys.System, sys.Ctrl, 0, false)
+	// A page whose counter block and L0–L3 nodes have distinct indices
+	// modulo the metadata cache's sets: at page 0 they share one set, so
+	// every bump writes back the whole chain and the overflows cascade up
+	// to L4 instead of nesting at L0, L1 and L2.
+	page := arch.PageID(1 + 32*(2+16*(3+16*(4+16*5))))
+	if err := a.ClaimFrame(page); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := a.NewCounterMonitor(page, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, err := a.NewCounterMonitor(page, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := a.NewCounterMonitor(page, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// readPage evicts the page's counter block and leaf node through the
+	// monitors' own eviction plans, then reads the page back, so the
+	// reads fetch and verify both.
+	readPage := func() {
+		leaf.pagePlans[page].run(a)
+		l1.childPlan.run(a)
+		for i := 0; i < arch.BlocksPerPage; i += 16 {
+			sys.Flush(0, page.Block(i))
+			sys.Read(0, page.Block(i))
+		}
+	}
+	var probes []int
+	probeLeaf := func() {
+		leaf.Preset(leaf.MinorMax() - 1)
+		readPage()
+		m, err := leaf.ProbeOverflow(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, m)
+		readPage()
+	}
+	leaf.Calibrate()
+	readPage()
+	l1.Calibrate()
+	readPage()
+	probeLeaf()
+	l2.Calibrate()
+	readPage()
+	probeLeaf()
+	l1.Calibrate()
+	readPage()
+	probeLeaf()
+	return captureOverflowState(sys, probes)
+}
+
 // TestOverflowPathGolden pins the simulated fallout of tree-counter
 // overflows — controller and DRAM statistics, bank busy horizons and the
 // clock — to a recorded golden, so a change to the re-hash burst that
@@ -106,6 +175,7 @@ func TestOverflowPathGolden(t *testing.T) {
 	got := map[string]overflowState{
 		"sct-fastcrypto": counterLeakOverflows(t),
 		"isolated":       isolatedOverflows(t),
+		"nested":         nestedOverflows(t),
 	}
 	for name, st := range got {
 		if st.Secmem.TreeOverflows == 0 {

@@ -15,6 +15,9 @@
 package dram
 
 import (
+	"fmt"
+	"math/bits"
+
 	"metaleak/internal/arch"
 )
 
@@ -63,7 +66,10 @@ func DefaultConfig() Config {
 }
 
 // Banks returns the total number of banks.
-func (c Config) Banks() int { return c.Channels * c.RanksPerChan * c.BanksPerRank }
+func (c Config) Banks() int { return c.banks() }
+
+// banks is Banks without the copy of the config a value receiver makes.
+func (c *Config) banks() int { return c.Channels * c.RanksPerChan * c.BanksPerRank }
 
 type bank struct {
 	openRow   int64 // -1: precharged
@@ -98,8 +104,12 @@ type DRAM struct {
 	nextRefresh arch.Cycles
 }
 
-// New builds a DRAM model.
+// New builds a DRAM model. The blocks per row and the bank count must be
+// powers of two, so a block's row and bank are a shift and a mask.
 func New(cfg Config) *DRAM {
+	if perRow, banks := cfg.RowBytes/arch.BlockSize, cfg.Banks(); !isPow2(perRow) || !isPow2(banks) {
+		panic(fmt.Sprintf("dram: %d blocks per row and %d banks must both be powers of two", perRow, banks))
+	}
 	d := &DRAM{
 		cfg:   cfg,
 		banks: make([]bank, cfg.Banks()),
@@ -120,28 +130,35 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Stats returns a snapshot of the event counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 func (c *Config) blocksPerRow() uint64 { return uint64(c.RowBytes / arch.BlockSize) }
+
+// RowOf returns the identity of the row a block maps to (used only for
+// open-row comparisons, so the global row index serves). New admits only
+// a power-of-two row, so the division is a shift.
+func (c *Config) RowOf(b arch.BlockID) int64 {
+	return int64(uint64(b) >> bits.TrailingZeros64(c.blocksPerRow()))
+}
 
 // BankOf returns the bank index a block maps to. Row-granular
 // interleaving with an XOR-based bank hash (standard in modern memory
 // controllers) spreads nearby metadata regions across banks, while the 64
 // blocks of a page still share a bank and (typically) a row — which is
-// what makes re-encryption bursts serialize behind one bank. The pointer
+// what makes re-encryption bursts serialize behind one bank. New admits
+// only a power-of-two bank count, so the modulus is a mask. The pointer
 // receiver keeps the DRAM hot path from copying the config per call.
 func (c *Config) BankOf(b arch.BlockID) int {
-	row := uint64(b) / c.blocksPerRow()
+	row := uint64(c.RowOf(b))
 	h := row ^ row>>5 ^ row>>10 ^ row>>17
-	return int(h % uint64(c.Banks()))
+	return int(h & uint64(c.banks()-1))
 }
 
 // BankOf returns the bank index a block maps to (Config.BankOf).
 func (d *DRAM) BankOf(b arch.BlockID) int { return d.cfg.BankOf(b) }
 
-// RowOf returns the identity of the row a block maps to (used only for
-// open-row comparisons, so the global row index serves).
-func (d *DRAM) RowOf(b arch.BlockID) int64 {
-	return int64(uint64(b) / d.cfg.blocksPerRow())
-}
+// RowOf returns the row a block maps to (Config.RowOf).
+func (d *DRAM) RowOf(b arch.BlockID) int64 { return d.cfg.RowOf(b) }
 
 // SameRow reports whether two blocks share a physical DRAM row (same
 // bank, same row): the blast radius of a row-level fault — a disturbed
@@ -151,10 +168,10 @@ func (d *DRAM) SameRow(a, b arch.BlockID) bool {
 }
 
 // access performs one bank access starting no earlier than now and returns
-// its completion time.
-func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) arch.Cycles {
-	bk := &d.banks[d.BankOf(b)]
-	row := d.RowOf(b)
+// its completion time and the bank it occupied.
+func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) (arch.Cycles, *bank) {
+	bk := &d.banks[d.cfg.BankOf(b)]
+	row := d.cfg.RowOf(b)
 	start := now
 	if bk.busyUntil > start {
 		start = bk.busyUntil
@@ -176,7 +193,7 @@ func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) ar
 	}
 	bk.openRow = row
 	bk.busyUntil = start + lat
-	return start + lat + d.cfg.Bus
+	return start + lat + d.cfg.Bus, bk
 }
 
 // Read services a read for the block, returning its completion time. Reads
@@ -189,7 +206,8 @@ func (d *DRAM) Read(now arch.Cycles, b arch.BlockID) arch.Cycles {
 	if len(d.wq) >= d.cfg.WriteQueueDepth {
 		now = d.drain(now, d.cfg.DrainBatch)
 	}
-	return d.access(now, b, 0)
+	done, _ := d.access(now, b, 0)
+	return done
 }
 
 // Write enqueues a write for the block. If a write to the same block is
@@ -219,13 +237,15 @@ func (d *DRAM) drain(now arch.Cycles, n int) arch.Cycles {
 	d.stats.Drains++
 	end := now
 	for i := 0; i < n; i++ {
-		done := d.access(now, d.wq[i].block, d.cfg.WriteLat)
+		done, _ := d.access(now, d.wq[i].block, d.cfg.WriteLat)
 		if done > end {
 			end = done
 		}
 		delete(d.wqSet, d.wq[i].block)
 	}
-	d.wq = d.wq[n:]
+	// Shift the survivors to the front: slicing them off instead would
+	// shrink the array's capacity, and the next append would reallocate.
+	d.wq = d.wq[:copy(d.wq, d.wq[n:])]
 	return now // the issuing side does not stall for the drain itself
 }
 
@@ -259,15 +279,16 @@ func (d *DRAM) maybeRefresh(now arch.Cycles) arch.Cycles {
 // which opens the row and leaves busyUntil >= now. Each of the row's
 // k-1 remaining blocks is then a row hit starting at busyUntil and
 // advancing it by max(RowHit, occupancy): exactly what k-1 further
-// accesses would do, one block at a time.
+// accesses would do, one block at a time. The bank is the one access
+// used, so a row costs one bank lookup.
 func (d *DRAM) Background(now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
 	hit := max(d.cfg.RowHit, occupancy)
 	perRow := arch.BlockID(d.cfg.blocksPerRow())
 	for n > 0 {
-		k := min(n, int(perRow-first%perRow))
+		k := min(n, int(perRow-first&(perRow-1)))
 		//metalint:allow cycleleak fire-and-forget by design: the burst's completion time is invisible to the issuer, only bank occupancy matters
-		d.access(now, first, occupancy)
-		d.banks[d.BankOf(first)].busyUntil += arch.Cycles(k-1) * hit
+		_, bk := d.access(now, first, occupancy)
+		bk.busyUntil += arch.Cycles(k-1) * hit
 		d.stats.RowHits += uint64(k - 1)
 		first += arch.BlockID(k)
 		n -= k

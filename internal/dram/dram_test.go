@@ -44,7 +44,7 @@ func TestBankContentionDelaysRead(t *testing.T) {
 	// Occupy the bank with a burst of accesses at time 0.
 	var end arch.Cycles
 	for i := 0; i < 10; i++ {
-		end = d.access(0, b, d.cfg.WriteLat)
+		end, _ = d.access(0, b, d.cfg.WriteLat)
 	}
 	// A read issued at time 0 to the same bank completes only after.
 	done := d.Read(0, b)
@@ -201,6 +201,27 @@ func TestDrainServicesOldestFirst(t *testing.T) {
 	}
 }
 
+// TestWriteQueueSteadyStateAllocs pins the write queue to its array:
+// once it has filled, writes that force drains allocate nothing.
+func TestWriteQueueSteadyStateAllocs(t *testing.T) {
+	d := New(DefaultConfig())
+	next := arch.BlockID(0)
+	write := func() {
+		d.Write(0, next*997)
+		next++
+	}
+	writes := func() {
+		for i := 0; i < 16*d.cfg.WriteQueueDepth; i++ {
+			write()
+		}
+	}
+	writes()
+	// AllocsPerRun rounds down, so each run is a thousand writes.
+	if avg := testing.AllocsPerRun(20, writes); avg != 0 {
+		t.Fatalf("%d writes allocate %.0f objects, want 0", 16*d.cfg.WriteQueueDepth, avg)
+	}
+}
+
 // backgroundPerBlock is the reference for Background's run form: the
 // burst posted one block at a time, one bank access each.
 func backgroundPerBlock(d *DRAM, now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
@@ -283,6 +304,71 @@ func TestBackgroundRunMatchesPerBlock(t *testing.T) {
 		if runForm.Stats() != ref.Stats() {
 			t.Fatalf("trial %d: stats diverged after the reads", trial)
 		}
+	}
+}
+
+// divisionBankRow is the division-based row and bank formula that
+// Config.RowOf and Config.BankOf compute with a shift and a mask: the
+// reference for TestBankRowMatchDivision.
+func divisionBankRow(c Config, b arch.BlockID) (bank int, row int64) {
+	r := uint64(b) / uint64(c.RowBytes/arch.BlockSize)
+	h := r ^ r>>5 ^ r>>10 ^ r>>17
+	return int(h % uint64(c.Banks())), int64(r)
+}
+
+// TestBankRowMatchDivision checks the shift-and-mask row and bank against
+// the division formula on random blocks, for the Table I geometry and the
+// 8-blocks-per-row geometry of TestBackgroundRunMatchesPerBlock.
+func TestBankRowMatchDivision(t *testing.T) {
+	small := DefaultConfig()
+	small.RowBytes = 512
+	rng := arch.NewRNG(0xba4c)
+	for _, cfg := range []Config{DefaultConfig(), small} {
+		d := New(cfg)
+		for i := 0; i < 20000; i++ {
+			b := arch.BlockID(rng.Uint64())
+			switch i % 4 {
+			case 0: // near the data region
+				b %= 1 << 24
+			case 1: // the counter region
+				b = arch.CounterBase.Block() + b%(1<<24)
+			case 2: // the tree region
+				b = arch.TreeBase.Block() + b%(1<<24)
+			}
+			bank, row := divisionBankRow(cfg, b)
+			if got := d.BankOf(b); got != bank {
+				t.Fatalf("%d B rows: block %#x in bank %d, division formula %d", cfg.RowBytes, uint64(b), got, bank)
+			}
+			if got := d.RowOf(b); got != row {
+				t.Fatalf("%d B rows: block %#x in row %d, division formula %d", cfg.RowBytes, uint64(b), got, row)
+			}
+		}
+	}
+}
+
+// TestNewRejectsNonPowerOfTwoGeometry checks that New refuses a row or a
+// bank count that shift-and-mask cannot address, naming both values.
+func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	rows := DefaultConfig()
+	rows.RowBytes = 3 * 1024 // 48 blocks a row
+	banks := DefaultConfig()
+	banks.BanksPerRank = 6 // 24 banks
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"blocks per row", rows, "dram: 48 blocks per row and 32 banks must both be powers of two"},
+		{"banks", banks, "dram: 128 blocks per row and 24 banks must both be powers of two"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("New panicked with %v, want %q", got, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		})
 	}
 }
 

@@ -25,11 +25,16 @@ type VTreeConfig struct {
 
 // vnode is the authoritative state of one tree node block: a shared major
 // counter, one version ("minor") counter per child, and the embedded hash
-// that binds them to the parent's version counter for this node.
+// that binds them to the parent's version counter for this node. Its
+// state is current only once VTree.node has returned it.
 type vnode struct {
-	major   uint64
-	minors  []uint64
-	hash    uint64
+	major  uint64
+	minors []uint64
+	hash   uint64
+	// gen is the tree generation the node was last brought up to date at.
+	gen uint64
+	// resets counts the overflows that reset the subtree under this node.
+	resets  uint64
 	hashSet bool
 }
 
@@ -39,6 +44,7 @@ type VTree struct {
 	geo   geometry
 	h     Hasher
 	nodes []map[int]*vnode // per level, sparse
+	gen   uint64           // subtree resets so far
 	// ctrHash holds the per-counter-block hash binding counter contents to
 	// the L0 version counter (the embedded per-block hash of Fig. 4b).
 	ctrHash map[arch.BlockID]uint64
@@ -109,13 +115,43 @@ func (t *VTree) CoverageCounterBlocks(level int) int { return t.geo.coverage(lev
 // MinorMax returns the saturation value of a tree minor counter.
 func (t *VTree) MinorMax() uint64 { return 1<<t.cfg.MinorBits - 1 }
 
+// node returns ref's state, creating it on first touch and bringing it
+// up to date with every subtree reset above it. Every reader of node
+// state goes through here (catchUp reads only ancestors' reset counts,
+// which are exact without catching up), which is what lets resetSubtree
+// leave the descendants of a reset node alone.
 func (t *VTree) node(ref NodeRef) *vnode {
 	n := t.nodes[ref.Level][ref.Index]
 	if n == nil {
 		n = &vnode{minors: make([]uint64, t.cfg.Arities[ref.Level])}
 		t.nodes[ref.Level][ref.Index] = n
 	}
+	if n.gen != t.gen {
+		t.catchUp(ref, n)
+	}
 	return n
+}
+
+// catchUp applies to n the resets it missed. An eager reset increments
+// the major of every node in the subtree, so a node's major is always
+// the number of resets at it or at any of its ancestors; a node created
+// after a reset catches up from zero the same way. When that sum has
+// moved since n was last brought up to date, some reset above n happened
+// since: its minors restart at zero and its hash must be re-established.
+func (t *VTree) catchUp(ref NodeRef, n *vnode) {
+	n.gen = t.gen
+	major := n.resets
+	for p, ok := t.geo.parent(ref); ok; p, ok = t.geo.parent(p) {
+		if a := t.nodes[p.Level][p.Index]; a != nil {
+			major += a.resets
+		}
+	}
+	if major == n.major {
+		return
+	}
+	n.major = major
+	clear(n.minors)
+	n.hashSet = false
 }
 
 // childSlot returns the minor-counter slot inside ref's parent (or the
@@ -227,15 +263,21 @@ func (t *VTree) bumpMinor(ref NodeRef) *Update {
 // as re-hash traffic, which is what makes tree-counter overflow so
 // expensive and so observable (Fig. 8).
 //
-// State updates touch every descendant node. The subtree's counter blocks
-// are one contiguous range, so their hash entries are dropped in one pass
-// over the range or over ctrHash, whichever is smaller; entries that were
-// never established are simply left to lazy re-initialization
-// (equivalent, since their recomputed value is whatever the next fill
-// observes).
+// Only ref itself is reset here: the reset is counted on ref and the
+// tree's generation moves, so node brings each descendant up to date
+// when it is next touched. The re-hash runs come from the geometry
+// alone. The subtree's counter blocks are one contiguous range, so their
+// hash entries are dropped in one pass over the range or over ctrHash,
+// whichever is smaller; entries that were never established are simply
+// left to lazy re-initialization (equivalent, since their recomputed
+// value is whatever the next fill observes).
 func (t *VTree) resetSubtree(ref NodeRef, up *Update) {
-	up.Rehashed = t.rehashed[:0]
-	t.resetNodes(ref, up)
+	n := t.node(ref)
+	n.resets++
+	t.gen++
+	t.catchUp(ref, n) // applies the reset just counted to ref itself
+
+	up.Rehashed = t.appendRehash(t.rehashed[:0], ref, &up.RehashedBlocks)
 	t.rehashed = up.Rehashed
 
 	cover := t.geo.coverage(ref.Level)
@@ -256,34 +298,25 @@ func (t *VTree) resetSubtree(ref NodeRef, up *Update) {
 	}
 }
 
-// resetNodes resets ref and its descendant nodes depth-first, appending
-// each node block and each leaf's counter blocks to up.Rehashed.
-func (t *VTree) resetNodes(ref NodeRef, up *Update) {
-	n := t.node(ref)
-	n.major++
-	for i := range n.minors {
-		n.minors[i] = 0
-	}
-	n.hashSet = false
-	up.Rehashed = append(up.Rehashed, Run{First: t.NodeBlockID(ref), N: 1})
-	up.RehashedBlocks++
+// appendRehash appends the re-hash runs of the subtree under ref to runs
+// depth-first — each node block, and after each leaf one run of its
+// counter blocks — and adds the blocks they cover to *blocks.
+func (t *VTree) appendRehash(runs []Run, ref NodeRef, blocks *int) []Run {
+	runs = append(runs, Run{First: t.NodeBlockID(ref), N: 1})
+	*blocks++
 	if ref.Level == 0 {
-		// Every counter block under this leaf node is re-hashed.
 		lo := ref.Index * t.cfg.Arities[0]
 		cbs := min(t.cfg.Arities[0], t.geo.nCB-lo)
-		up.Rehashed = append(up.Rehashed, Run{First: t.counterBlock(lo), N: cbs})
-		up.RehashedBlocks += cbs
-		return
+		*blocks += cbs
+		return append(runs, Run{First: t.counterBlock(lo), N: cbs})
 	}
 	childLevel := ref.Level - 1
 	a := t.cfg.Arities[ref.Level]
-	for i := 0; i < a; i++ {
-		childIdx := ref.Index*a + i
-		if childIdx >= t.geo.counts[childLevel] {
-			break
-		}
-		t.resetNodes(NodeRef{Level: childLevel, Index: childIdx}, up)
+	last := min(ref.Index*a+a, t.geo.counts[childLevel])
+	for childIdx := ref.Index * a; childIdx < last; childIdx++ {
+		runs = t.appendRehash(runs, NodeRef{Level: childLevel, Index: childIdx}, blocks)
 	}
+	return runs
 }
 
 // counterBlock returns the counter block at a tree-local index.
