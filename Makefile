@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke run-golden bench bench-json bench-gate
+.PHONY: check build fmt vet metalint lint-inventory secretflow-test test dispatch-race crypto-purego fuzz-smoke hunt-smoke run-golden bench bench-json bench-gate
 
-check: fmt vet metalint lint-inventory secretflow-test test dispatch-race
+check: fmt vet metalint lint-inventory secretflow-test test dispatch-race crypto-purego
 
 build:
 	$(GO) build ./...
@@ -46,12 +46,20 @@ dispatch-race:
 	$(GO) test -race -count=1 -run 'Dispatch|Serve|Supervis|DialRetry|ResultCache|CellFingerprint|Hunt|JobSession|Checkpoint|Resume' \
 		./internal/dispatch ./internal/experiments ./internal/serve ./cmd/metaleak
 
+# The crypto engine's GHASH runs on the standard library's AES-GCM, which
+# has assembly on some platforms and a portable version on the rest. The
+# purego tag selects the portable one, so the bit-serial differential and
+# the known-answer vectors hold whichever GCM the toolchain picks.
+crypto-purego:
+	$(GO) test -count=1 -tags purego ./internal/crypto
+
 # Ten seconds of coverage-guided fuzzing per parser-shaped surface:
 # cheap enough for CI, long enough to catch a decoder regression.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzObsDiff -fuzztime=10s ./internal/contract
 	$(GO) test -run='^$$' -fuzz=FuzzProtocolRoundTrip -fuzztime=10s ./internal/dispatch
+	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults
 
 # The differential-fuzzer smoke: a fixed 2-config x 4-program x 2-pair
 # grid must reproduce the committed verdict CSV byte for byte, at any

@@ -156,6 +156,16 @@ func BenchmarkCounterBump(b *testing.B) { bench.CounterBump(b) }
 // re-hash burst posted to DRAM (a counter-leak probe's overflow).
 func BenchmarkTreeOverflowL4(b *testing.B) { bench.TreeOverflowL4(b) }
 
+// BenchmarkMAC measures one GHASH MAC of a 64-byte ciphertext block.
+func BenchmarkMAC(b *testing.B) { bench.MAC(b) }
+
+// BenchmarkNodeHash measures one tree node hash: an SCT counter block
+// with its version counter (72 B) and an arity-32 SCT leaf (272 B).
+func BenchmarkNodeHash(b *testing.B) {
+	b.Run("72B", bench.NodeHash(72))
+	b.Run("272B", bench.NodeHash(272))
+}
+
 // BenchmarkAblationSecureOverhead compares secure designs to the
 // unprotected baseline.
 func BenchmarkAblationSecureOverhead(b *testing.B) { runExperiment(b, "ablsec") }

@@ -183,6 +183,42 @@ func TreeOverflowL4(b *testing.B) {
 	}
 }
 
+// hashSink keeps MAC and NodeHash results live so the measured calls
+// stay in the loop.
+var hashSink uint64
+
+// MAC measures one GHASH MAC of a 64-byte ciphertext block: the check
+// every secure read and the seal every write pays.
+func MAC(b *testing.B) {
+	e := crypto.New(crypto.Config{HashLatency: 20})
+	ct := new(crypto.Block)
+	for i := range ct {
+		ct[i] = byte(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = e.MACOf(ct, arch.BlockID(i), uint64(i))
+	}
+}
+
+// NodeHash returns a benchmark of one integrity-tree node hash over n
+// bytes: 72 for an SCT counter block with its version counter, 272 for
+// an arity-32 SCT leaf.
+func NodeHash(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		e := crypto.New(crypto.Config{HashLatency: 20})
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf[0] = byte(i)
+			hashSink = e.HashBytes(buf)
+		}
+	}
+}
+
 // substrate names the microbenchmarks in the record.
 var substrate = []struct {
 	Name string
@@ -193,6 +229,9 @@ var substrate = []struct {
 	{"MEvictReloadRound", MEvictReloadRound},
 	{"CounterBump", CounterBump},
 	{"TreeOverflowL4", TreeOverflowL4},
+	{"MAC", MAC},
+	{"NodeHash72B", NodeHash(72)},
+	{"NodeHash272B", NodeHash(272)},
 }
 
 // sweepAxes is the fixed grid the throughput measurement runs: one design

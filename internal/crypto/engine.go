@@ -14,6 +14,7 @@ package crypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"sync"
 
@@ -38,48 +39,61 @@ type Config struct {
 // Engine is the security engine. Not safe for concurrent use.
 type Engine struct {
 	cfg   Config
-	aes   cipher.Block
-	tbl   *ghashTable // shared by every engine; see subkey
+	key   *fixedKey // shared by every engine
 	fastK uint64
-	// pad and seed are scratch buffers for otp: the AES interface call
-	// forces its arguments to escape, so stack buffers would heap-allocate
-	// one pad per access. The engine is single-threaded by contract.
+	// pad, seed and tag are scratch buffers for otp and ghash: the AES and
+	// GCM interface calls force their arguments to escape, so stack
+	// buffers would heap-allocate on every access. The engine is
+	// single-threaded by contract.
 	pad  Block
 	seed [16]byte
+	tag  [16]byte
 }
 
-// newCipher keys AES with the machine's fixed key, the one key every
-// engine uses.
-func newCipher() cipher.Block {
-	blk, err := aes.NewCipher([]byte("metaleak-aes-key"))
-	if err != nil {
-		panic("crypto: " + err.Error())
-	}
-	return blk
-}
-
-// subkey returns the GHASH subkey H = AES_k(0^128), as in GCM (big-endian
-// halves), and its multiply table. The key is fixed, so both are the same
-// for every engine: they are built once per process and shared read-only,
-// which keeps the 8 KiB table out of each engine's construction.
+// fixedKey is everything derived from the machine's fixed AES key, the
+// one key every engine uses: the block cipher behind the pads, GCM over
+// it (whose Seal computes GHASH, see ghash), the multiply table of the
+// GHASH subkey H = AES_k(0^128) (big-endian halves, as in GCM), and
+// E_k(J0) for the all-zero nonce, folded to 64 bits. All of it is built
+// once per process and shared read-only (AES and Seal keep no state), so
+// no engine builds its own key schedule or 8 KiB table.
 //
 // H is deliberately not a //metalint:secret seed: MAC outputs are
 // integrity metadata stored in public memory, so H-derived values
 // legitimately reach every counter and tree node the attacker observes —
 // in the paper's model the subkey is not what the channels recover.
-var subkey = sync.OnceValues(func() ([2]uint64, *ghashTable) {
-	var zero, hb [16]byte
-	newCipher().Encrypt(hb[:], zero[:])
-	h := [2]uint64{binary.BigEndian.Uint64(hb[0:8]), binary.BigEndian.Uint64(hb[8:16])}
-	t := new(ghashTable)
-	t.init(h)
-	return h, t
+type fixedKey struct {
+	aes  cipher.Block
+	gcm  cipher.AEAD
+	h    [2]uint64
+	tbl  ghashTable
+	mask uint64
+}
+
+var key = sync.OnceValue(func() *fixedKey {
+	blk, err := aes.NewCipher([]byte("metaleak-aes-key"))
+	if err != nil {
+		panic("crypto: " + err.Error())
+	}
+	gcm, err := cipher.NewGCM(blk)
+	if err != nil {
+		panic("crypto: GHASH runs on AES-GCM with a fixed nonce, which Go's FIPS 140-only mode (GODEBUG=fips140=only) forbids: " + err.Error())
+	}
+	k := &fixedKey{aes: blk, gcm: gcm}
+	var b [16]byte
+	blk.Encrypt(b[:], b[:])
+	k.h = [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+	k.tbl.init(k.h)
+	b = [16]byte{15: 1} // J0 = nonce ‖ 0^31 ‖ 1
+	blk.Encrypt(b[:], b[:])
+	k.mask = binary.BigEndian.Uint64(b[:8]) ^ binary.BigEndian.Uint64(b[8:])
+	return k
 })
 
 // New builds an engine under the machine's fixed AES key.
 func New(cfg Config) *Engine {
-	h, tbl := subkey()
-	return &Engine{cfg: cfg, aes: newCipher(), tbl: tbl, fastK: h[0] ^ h[1] | 1}
+	k := key()
+	return &Engine{cfg: cfg, key: k, fastK: k.h[0] ^ k.h[1] | 1}
 }
 
 // HashLatency returns the modelled latency of one MAC or node hash.
@@ -107,7 +121,7 @@ func (e *Engine) otp(b arch.BlockID, ctr uint64) *Block {
 	base := uint64(b) << 2
 	for ck := 0; ck < chunksPerBlock; ck++ {
 		binary.BigEndian.PutUint64(seed[0:8], base|uint64(ck))
-		e.aes.Encrypt(pad[ck*16:(ck+1)*16], seed)
+		e.key.aes.Encrypt(pad[ck*16:(ck+1)*16], seed)
 	}
 	return pad
 }
@@ -117,10 +131,7 @@ func (e *Engine) otp(b arch.BlockID, ctr uint64) *Block {
 // not alias the engine's internal pad (callers outside this package
 // cannot). This is the allocation-free path the controller uses.
 func (e *Engine) EncryptTo(dst, plain *Block, b arch.BlockID, ctr uint64) {
-	pad := e.otp(b, ctr)
-	for i := range dst {
-		dst[i] = plain[i] ^ pad[i]
-	}
+	subtle.XORBytes(dst[:], plain[:], e.otp(b, ctr)[:])
 }
 
 // DecryptTo inverts EncryptTo (counter-mode encryption is an involution
@@ -155,13 +166,7 @@ func (e *Engine) MACOf(ct *Block, b arch.BlockID, ctr uint64) uint64 {
 		// collided and fast-mode tamper checks went blind to re-keys.
 		return mix(mix(h, uint64(b), e.fastK), ctr, e.fastK)
 	}
-	var g ghash
-	g.init(e.tbl)
-	for ck := 0; ck < chunksPerBlock; ck++ {
-		g.update(binary.BigEndian.Uint64(ct[ck*16:]), binary.BigEndian.Uint64(ct[ck*16+8:]))
-	}
-	g.update(uint64(b), ctr)
-	return g.sum()
+	return e.ghash(ct[:], uint64(b), ctr)
 }
 
 // HashBytes computes the 64-bit node hash used by integrity trees over an
@@ -179,22 +184,27 @@ func (e *Engine) HashBytes(data []byte) uint64 {
 		}
 		return mix(h, tail^uint64(len(data)), e.fastK)
 	}
-	n := len(data)
-	var g ghash
-	g.init(e.tbl)
-	for len(data) >= 16 {
-		g.update(binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:]))
-		data = data[16:]
-	}
-	if len(data) > 0 {
-		var pad [16]byte
-		copy(pad[:], data)
-		g.update(binary.BigEndian.Uint64(pad[:8]), binary.BigEndian.Uint64(pad[8:]))
-	}
 	// Length finalization (as in GCM): distinguishes zero-padded inputs of
 	// different lengths and prevents the all-zero fixed point.
-	g.update(0x4d65746132303234, uint64(n))
-	return g.sum()
+	return e.ghash(data, 0x4d65746132303234, uint64(len(data)))
+}
+
+// zeroNonce is the nonce of every Seal in ghash. GCM's nonce only sets
+// the tag mask E_k(J0), which ghash removes again.
+var zeroNonce [12]byte
+
+// ghash returns GHASH_H over data, zero-padded to whole 16-byte blocks,
+// then the final block (x0, x1), with the 128-bit state Y_n folded to 64
+// bits. GCM's Seal, given no plaintext and data as additional data,
+// returns T = (Y_{n-1} ⊕ L)·H ⊕ E_k(J0), where Y_{n-1} is the state after
+// data and L = (8·len(data), 0) is GCM's length block. So
+// Y_n = (Y_{n-1} ⊕ X_n)·H = T ⊕ E_k(J0) ⊕ (L ⊕ X_n)·H: one Seal, which
+// runs on AES-NI and carry-less multiply where the standard library has
+// assembly for them, and one table multiply.
+func (e *Engine) ghash(data []byte, x0, x1 uint64) uint64 {
+	t := e.key.gcm.Seal(e.tag[:0], zeroNonce[:], nil, data)
+	y0, y1 := e.key.tbl.mul(uint64(len(data))*8^x0, x1)
+	return y0 ^ y1 ^ binary.BigEndian.Uint64(t) ^ binary.BigEndian.Uint64(t[8:]) ^ e.key.mask
 }
 
 // mix is a fast 64-bit keyed mixer (murmur-style) used in Fast mode.

@@ -1,16 +1,18 @@
 package crypto
 
-// ghash implements the GHASH universal hash of GCM (McGrew & Viega, cited
-// by the paper as the MAC of choice in secure processors): a polynomial
-// evaluation over GF(2^128) with the field defined by
-// x^128 + x^7 + x^2 + x + 1.
+// GHASH is the universal hash of GCM (McGrew & Viega, cited by the paper
+// as the MAC of choice in secure processors): a polynomial evaluation over
+// GF(2^128) with the field defined by x^128 + x^7 + x^2 + x + 1. The
+// engine runs its blocks through the standard library's GCM (ghash in
+// engine.go); the one block it adds after them is a multiply by the
+// subkey H here.
 //
-// Multiplying by the subkey H is linear over GF(2), so it splits over the
-// 32 nibbles of the operand: a per-position table holds H times every
-// 4-bit value at every nibble position, and a 128-bit multiply is the XOR
-// of 32 independent lookups, with no shift or reduction step between them
-// (the reduction is folded into the table). The table is 8 KiB, and every
-// engine shares the one built for the fixed key (subkey in engine.go).
+// Multiplying by H is linear over GF(2), so it splits over the 32 nibbles
+// of the operand: a per-position table holds H times every 4-bit value at
+// every nibble position, and a 128-bit multiply is the XOR of 32
+// independent lookups, with no shift or reduction step between them (the
+// reduction is folded into the table). The table is 8 KiB, and every
+// engine shares the one built for the fixed key (key in engine.go).
 // The bit-serial gfMul is kept as the reference implementation; property
 // tests pin the table multiply and the whole MAC and node hash to it.
 // The simulator charges a fixed HashLatency regardless, so host-side
@@ -73,29 +75,9 @@ func (t *ghashTable) mul(y0, y1 uint64) (z0, z1 uint64) {
 	return z0, z1
 }
 
-// ghash is one accumulation in progress.
-type ghash struct {
-	t *ghashTable
-	y [2]uint64
-}
-
-func (g *ghash) init(t *ghashTable) {
-	g.t = t
-	g.y = [2]uint64{}
-}
-
-// update absorbs one 128-bit block: Y <- (Y xor X) * H.
-func (g *ghash) update(hi, lo uint64) {
-	g.y[0], g.y[1] = g.t.mul(g.y[0]^hi, g.y[1]^lo)
-}
-
-// sum folds the 128-bit state to the 64-bit tag used by the simulator.
-func (g *ghash) sum() uint64 { return g.y[0] ^ g.y[1] }
-
 // gfMul multiplies two elements of GF(2^128) in the GCM bit order: the
 // classic shift-and-conditionally-reduce bit-serial multiply. It is the
-// reference the table method is tested against; production paths use
-// ghashTable.mul.
+// reference the table method and the engine's GHASH are tested against.
 //
 //metalint:allow deadcode reference model for TestGhashTableMatchesBitSerial and TestHashMatchesBitSerialGHASH
 func gfMul(x, y [2]uint64) [2]uint64 {

@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"encoding/binary"
 	"runtime"
+	"sync"
 	"testing"
 
 	"metaleak/internal/arch"
@@ -14,7 +15,7 @@ import (
 const hashFinal = 0x4d65746132303234
 
 // refSubkey derives H = AES_k(0^128) for the fixed key on its own rather
-// than through subkey, so a wrong shared H fails the comparison.
+// than through key, so a wrong shared H fails the comparison.
 func refSubkey(t *testing.T) [2]uint64 {
 	t.Helper()
 	blk, err := aes.NewCipher([]byte("metaleak-aes-key"))
@@ -49,20 +50,27 @@ func fillRandom(r *arch.RNG, b []byte) {
 }
 
 // TestHashMatchesBitSerialGHASH pins the whole MAC and node hash, not just
-// the multiply, to the bit-serial reference: every HashBytes length from
-// 0 to 300 B (the trees hash 64, 72, 80, 144 and 272 B), and MACOf over
-// random blocks, addresses and counters, half of them with bit 63 set.
+// the multiply, to the bit-serial reference: every length from 0 to
+// 1,024 B, through HashBytes (the trees hash 64, 72, 80, 144 and 272 B)
+// and through ghash with a random final block, and MACOf over random
+// blocks, addresses and counters, half of them with bit 63 set. The
+// standard library's GCM takes 8 blocks per step from 128 B and has its
+// own path for a partial last block, so every length is its own case.
 func TestHashMatchesBitSerialGHASH(t *testing.T) {
 	h := refSubkey(t)
 	e := eng()
 	r := arch.NewRNG(22)
-	buf := make([]byte, 300)
+	buf := make([]byte, 1024)
 	for n := 0; n <= len(buf); n++ {
 		for rep := 0; rep < 3; rep++ {
 			data := buf[:n]
 			fillRandom(r, data)
 			if got, want := e.HashBytes(data), refGHASH(h, data, hashFinal, uint64(n)); got != want {
 				t.Fatalf("HashBytes(%x) = %#x, bit-serial GHASH %#x", data, got, want)
+			}
+			x0, x1 := r.Uint64(), r.Uint64()
+			if got, want := e.ghash(data, x0, x1), refGHASH(h, data, x0, x1); got != want {
+				t.Fatalf("ghash(%x, %#x, %#x) = %#x, bit-serial GHASH %#x", data, x0, x1, got, want)
 			}
 		}
 	}
@@ -78,6 +86,56 @@ func TestHashMatchesBitSerialGHASH(t *testing.T) {
 			t.Fatalf("MACOf(%x, %#x, %#x) = %#x, bit-serial GHASH %#x", ct, b, ctr, got, want)
 		}
 	}
+}
+
+// TestEnginesHashConcurrently runs engines on several goroutines at once,
+// each with its own engine, through the one AES block and GCM they share:
+// every pad, MAC and node hash must equal the one a lone engine computes.
+// make check runs it under -race.
+func TestEnginesHashConcurrently(t *testing.T) {
+	const workers, inputs = 4, 64
+	type want struct {
+		data     []byte
+		ct       Block
+		pad      Block
+		mac, sum uint64
+	}
+	r := arch.NewRNG(25)
+	ref := eng()
+	wants := make([]want, inputs)
+	for i := range wants {
+		w := &wants[i]
+		w.data = make([]byte, r.Uint64()%300)
+		fillRandom(r, w.data)
+		fillRandom(r, w.ct[:])
+		w.pad = ref.Encrypt(Block{}, arch.BlockID(i), uint64(i))
+		w.mac = ref.MACOf(&w.ct, arch.BlockID(i), uint64(i))
+		w.sum = ref.HashBytes(w.data)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			e := eng()
+			for round := 0; round < 20; round++ {
+				for j := range wants {
+					i := (j + g*inputs/workers) % inputs
+					w := &wants[i]
+					if pad := e.Encrypt(Block{}, arch.BlockID(i), uint64(i)); pad != w.pad {
+						t.Errorf("goroutine %d: pad %d differs", g, i)
+					}
+					if mac := e.MACOf(&w.ct, arch.BlockID(i), uint64(i)); mac != w.mac {
+						t.Errorf("goroutine %d: MACOf input %d = %#x, want %#x", g, i, mac, w.mac)
+					}
+					if sum := e.HashBytes(w.data); sum != w.sum {
+						t.Errorf("goroutine %d: HashBytes input %d = %#x, want %#x", g, i, sum, w.sum)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestKnownAnswers pins MACOf and HashBytes for the fixed key to values
